@@ -167,35 +167,19 @@ class PostselectResult:
 # environment bookkeeping
 
 
-def _advance(env: np.ndarray, core: np.ndarray, bit: int | None = None) -> np.ndarray:
-    """Move the squared-amplitude environment one site to the right.
+def _transfer(core: np.ndarray, bit: int | None = None) -> np.ndarray:
+    """One site of the squared-amplitude network as an ``(r², s²)`` matrix.
 
-    ``bit=None`` traces the site out (marginalization); a fixed bit selects
-    that physical slice on both layers.
+    Environments are flattened row-major, ``env[k, K] -> env[k * r + K]``
+    with ``k`` on the conjugated layer.  A left environment moves one site
+    right as ``env @ _transfer(core, bit)``; a right environment moves one
+    site left as ``_transfer(core, bit) @ env``.  A fixed ``bit`` selects
+    that physical slice on both layers; ``None`` traces the site out.
     """
     if bit is None:
-        return np.einsum("kK,kxl,KxL->lL", env, core.conj(), core, optimize=True)
+        return _transfer(core, 0) + _transfer(core, 1)
     sl = core[:, bit, :]
-    return sl.conj().T @ env @ sl
-
-
-def _suffix_environment(state: MPS, start: int) -> np.ndarray:
-    """Trace out all sites from ``start`` (0-based) to the end.
-
-    Equals the identity on bond ``start`` whenever those cores are
-    right-orthonormal.
-    """
-    env = np.ones((1, 1), dtype=np.complex128)
-    for core in reversed(state.cores[start:]):
-        env = np.einsum("kxl,KxL,lL->kK", core.conj(), core, env, optimize=True)
-    return env
-
-
-def _step_matrix(core: np.ndarray) -> np.ndarray:
-    """Marginalization step as a matrix acting on the flattened environment."""
-    r, _, s = core.shape
-    op = np.einsum("kxl,Kxm->kKlm", core.conj(), core, optimize=True)
-    return op.reshape(r * r, s * s)
+    return np.kron(sl.conj(), sl)
 
 
 # ---------------------------------------------------------------------------
@@ -290,13 +274,6 @@ def _prepare(state: MPS) -> MPS:
     return state
 
 
-def _bit_transfer_matrix(core: np.ndarray, bit: int) -> np.ndarray:
-    """Fixed-bit environment update as a matrix on the flattened environment."""
-    sl = core[:, bit, :]
-    r, s = sl.shape
-    return np.einsum("kl,Km->kKlm", sl.conj(), sl, optimize=True).reshape(r * r, s * s)
-
-
 def _draw_batches(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
     """Qubit-wise batched sampling; yields (packed rows, counts) per chunk.
 
@@ -309,33 +286,30 @@ def _draw_batches(state: MPS, measured_idx: list[int], sample_count: int, seed: 
     m = len(measured_idx)
     rng = np.random.default_rng(seed)
 
-    env0 = np.ones((1, 1), dtype=np.complex128)
+    env0 = np.ones(1, dtype=np.complex128)
     for i in range(measured_idx[0]):
-        env0 = _advance(env0, cores[i])
+        env0 = env0 @ _transfer(cores[i])
 
     site_weights = []  # (r*r, 2) probability forms per measured site
     site_updates = []  # per-bit update matrices, gap transfer included
     for k, i in enumerate(measured_idx):
-        stacked = np.stack([cores[i][:, 0, :], cores[i][:, 1, :]])
-        w = np.einsum("xkl,xKl->kKx", stacked.conj(), stacked, optimize=True)
-        site_weights.append(w.reshape(-1, 2))
+        updates = [_transfer(cores[i], bit) for bit in (0, 1)]
+        # a right-orthonormal suffix contributes the identity environment
+        suffix = np.eye(cores[i].shape[2], dtype=np.complex128).reshape(-1)
+        site_weights.append(np.stack([u @ suffix for u in updates], axis=1))
         gap = None
         if k + 1 < m:
             for j in range(i + 1, measured_idx[k + 1]):
-                step = _step_matrix(cores[j])
+                step = _transfer(cores[j])
                 gap = step if gap is None else gap @ step
-        updates = []
-        for bit in (0, 1):
-            mat = _bit_transfer_matrix(cores[i], bit)
-            updates.append(mat if gap is None else mat @ gap)
-        site_updates.append(updates)
+        site_updates.append(updates if gap is None else [u @ gap for u in updates])
 
     mass_lost = 0.0
     remaining = sample_count
     while remaining > 0:
         chunk = min(remaining, _CHUNK)
         uniforms = rng.random((chunk, m))
-        env = np.broadcast_to(env0.reshape(-1), (chunk, env0.size)).copy()
+        env = np.broadcast_to(env0, (chunk, env0.size)).copy()
         bits = np.empty((chunk, m), dtype=np.uint8)
         for k in range(m):
             p = (env @ site_weights[k]).real

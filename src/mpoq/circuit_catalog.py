@@ -4,7 +4,8 @@ Covers the four-qubit reversible full adder and chains of coupled adders,
 the fixed Simon instance with interleaved registers, the quantum Fourier
 transform split into per-qubit gate groups, and the modular-exponentiation
 operators for factoring 15, together with the sequential apply-and-
-orthonormalize executor and the classical period-extraction step.
+orthonormalize executor, the classical period-extraction step and the
+registry of named builtin circuits.
 
 No SWAP gates are used anywhere; where the omission matters (QFT output,
 factoring measurements) the bit order is reversed on readout, and that
@@ -16,7 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -566,3 +567,79 @@ def shor_run(
         rank_history=run.rank_history,
         final_ranks=run.state.ranks,
     )
+
+
+# ---------------------------------------------------------------------------
+# builtin registry
+
+
+@dataclass(frozen=True)
+class Builtin:
+    """A named catalog circuit, written ``name`` or ``name(arg)``.
+
+    ``arg`` names its single integer argument and ``example`` is a valid
+    value for it; both are ``None`` when the circuit takes no argument.
+    ``build(arg)`` returns the gate sequence, its input state and the
+    default readout positions.
+    """
+
+    arg: str | None
+    example: int | None
+    build: Callable[[int | None], tuple[GateGroupSequence, MPS, tuple[int, ...]]]
+
+
+def _from_zeros(sequence: GateGroupSequence, readout: tuple[int, ...] | None = None):
+    n = sequence.n
+    return sequence, basis_state_mps([0] * n), readout or tuple(range(1, n + 1))
+
+
+def _qfa_network(count: int):
+    label = f"qfa-network({count})"
+    sequence = GateGroupSequence((full_adder_network_mpo(count),), label=label)
+    return sequence, full_adder_network_input(count), full_adder_network_outputs(count)
+
+
+def _simon(_):
+    layout = {"first": SIMON_FIRST_REGISTER, "second": SIMON_SECOND_REGISTER}
+    sequence = GateGroupSequence((simon_circuit_mpo(),), label="simon", register_layout=layout)
+    return _from_zeros(sequence, SIMON_FIRST_REGISTER)
+
+
+def _shor(a: int):
+    sequence = shor_sequence(a)
+    return _from_zeros(sequence, sequence.register_layout["input"])
+
+
+#: Every builtin circuit by name.  Builders look catalog functions up as
+#: module globals when called, so a patched attribute is seen.
+BUILTINS: dict[str, Builtin] = {
+    "qfa": Builtin(
+        None, None, lambda _: _from_zeros(GateGroupSequence((full_adder_mpo(),), label="qfa"))
+    ),
+    "qfa-network": Builtin("count", 2, _qfa_network),
+    "simon": Builtin(None, None, _simon),
+    "qft": Builtin("n", 8, lambda n: _from_zeros(qft_sequence(n))),
+    "inverse-qft": Builtin("n", 8, lambda n: _from_zeros(inverse_qft_sequence(n))),
+    "shor": Builtin("a", 7, _shor),
+}
+
+
+def build_builtin(name: str, arg: int | None = None):
+    """Check ``arg`` against builtin ``name`` and build it.
+
+    Returns ``(sequence, input state, default readout)``.  Raises
+    ``ValueError`` for an unknown name, an argument given to a circuit that
+    takes none, and a missing, non-integer or non-positive argument.
+    """
+    entry = BUILTINS.get(name)
+    if entry is None:
+        raise ValueError(f"unknown builtin {name!r}; known: {', '.join(BUILTINS)}")
+    if entry.arg is None:
+        if arg is not None:
+            raise ValueError(f"builtin {name} takes no argument, got {arg!r}")
+    elif arg is None:
+        example = f"{name}({entry.example})"
+        raise ValueError(f"builtin {name} needs its argument {entry.arg}, e.g. {example}")
+    elif isinstance(arg, bool) or not isinstance(arg, int) or arg < 1:
+        raise ValueError(f"builtin {name}: {entry.arg} must be an integer >= 1, got {arg!r}")
+    return entry.build(arg)

@@ -1,9 +1,10 @@
 """Command-line front end: simulate circuits, benchmark, verify golden values.
 
 Circuits come either from a JSON description (schema below) or from the
-builtin catalog: ``qfa``, ``qfa-network(count)``, ``simon``, ``qft(n)``,
-``inverse-qft(n)``, ``shor(a)``.  Measurement output is written as CSV or
-JSON and is byte-stable for a fixed circuit, seed and package version.
+builtin registry ``circuit_catalog.BUILTINS``: ``qfa``, ``qfa-network(count)``,
+``simon``, ``qft(n)``, ``inverse-qft(n)``, ``shor(a)``.  Measurement output is
+written as CSV or JSON and is byte-stable for a fixed circuit, seed and
+package version.
 
 Exit codes: 0 success, 2 malformed circuit description, 3 numerical
 failure, 4 zero-probability postselection.
@@ -19,12 +20,8 @@ import sys
 import time
 from dataclasses import dataclass
 
+import jsonschema
 import numpy as np
-
-try:
-    import jsonschema
-except ImportError:  # pragma: no cover - mandatory dependency
-    jsonschema = None
 
 from . import __version__, circuit_catalog as catalog, dense_oracle
 from .born_sampler import (
@@ -35,7 +32,7 @@ from .born_sampler import (
     marginal_distribution,
     sample,
 )
-from .gate_library import PAULI_X, GatePlacement, hadamard_layer, single_qubit_gate
+from .gate_library import GatePlacement, hadamard_layer, single_qubit_gate
 from .tensor_core import (
     DEFAULT_POLICY,
     MPO,
@@ -196,34 +193,33 @@ def _gate_op_mpo(op, n: int) -> MPO:
         raise CircuitSpecError(str(exc)) from exc
 
 
-def _builtin_groups(name: str, params, n: int) -> list[MPO]:
-    if name == "qfa":
-        if n != 4:
-            raise CircuitSpecError("builtin qfa needs n=4")
-        return [catalog.full_adder_mpo()]
-    if name == "qfa-network":
-        count = int(params.get("count", 1))
-        if n != 3 * count + 1:
-            raise CircuitSpecError(f"builtin qfa-network(count={count}) needs n={3 * count + 1}")
-        return [catalog.full_adder_network_mpo(count)]
-    if name == "simon":
-        if n != 8:
-            raise CircuitSpecError("builtin simon needs n=8")
-        return [catalog.simon_circuit_mpo()]
-    if name == "qft":
-        return list(catalog.qft_sequence(n).groups)
-    if name == "inverse-qft":
-        return list(catalog.inverse_qft_sequence(n).groups)
-    raise CircuitSpecError(f"unknown builtin {name!r} inside a circuit description")
+def _build_builtin(name: str, arg):
+    try:
+        return catalog.build_builtin(name, arg)
+    except ValueError as exc:
+        raise CircuitSpecError(str(exc)) from exc
+
+
+def _builtin_groups(name: str, params, n: int) -> tuple[MPO, ...]:
+    if name == "shor":
+        raise CircuitSpecError("builtin shor reads its output reversed; use --builtin shor(a)")
+    entry = catalog.BUILTINS.get(name)
+    params = dict(params)
+    arg = params.pop(entry.arg, None) if entry and entry.arg else None
+    sequence, _, _ = _build_builtin(name, arg)
+    if params:
+        raise CircuitSpecError(f"builtin {name} has no parameter {', '.join(params)}")
+    if sequence.n != n:
+        raise CircuitSpecError(f"builtin {sequence.label} acts on {sequence.n} qubits, not n={n}")
+    return sequence.groups
 
 
 def load_circuit_payload(payload, label: str) -> LoadedCircuit:
     """Validate a parsed JSON circuit description and build its sequence."""
-    if jsonschema is not None:
-        try:
-            jsonschema.validate(payload, CIRCUIT_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise CircuitSpecError(f"circuit description invalid: {exc.message}") from exc
+    try:
+        jsonschema.validate(payload, CIRCUIT_SCHEMA)
+    except jsonschema.ValidationError as exc:
+        raise CircuitSpecError(f"circuit description invalid: {exc.message}") from exc
     n = payload["n"]
     groups: list[MPO] = []
     for op in payload["ops"]:
@@ -231,9 +227,6 @@ def load_circuit_payload(payload, label: str) -> LoadedCircuit:
             groups.append(_gate_op_mpo(op, n))
         else:
             groups.extend(_builtin_groups(op["builtin"], op.get("params", {}), n))
-    for g in groups:
-        if g.n != n:
-            raise CircuitSpecError("op register size does not match n")
     sequence = catalog.GateGroupSequence(groups=tuple(groups), label=label)
     return LoadedCircuit(
         label=label,
@@ -255,74 +248,16 @@ def load_builtin(text: str) -> LoadedCircuit:
         raise CircuitSpecError(f"cannot parse builtin {text!r}")
     name, arg = match.group(1), match.group(2)
     arg = int(arg) if arg is not None else None
-    if name == "qfa":
-        return LoadedCircuit(
-            label="qfa",
-            n=4,
-            initial=basis_state_mps([0, 0, 0, 0]),
-            sequence=catalog.GateGroupSequence((catalog.full_adder_mpo(),), label="qfa"),
-            policy=DEFAULT_POLICY,
-            default_measure=(1, 2, 3, 4),
-        )
-    if name == "qfa-network":
-        count = arg or 1
-        n = 3 * count + 1
-        return LoadedCircuit(
-            label=f"qfa-network({count})",
-            n=n,
-            initial=catalog.full_adder_network_input(count),
-            sequence=catalog.GateGroupSequence(
-                (catalog.full_adder_network_mpo(count),), label=f"qfa-network({count})"
-            ),
-            policy=DEFAULT_POLICY,
-            default_measure=catalog.full_adder_network_outputs(count),
-        )
-    if name == "simon":
-        return LoadedCircuit(
-            label="simon",
-            n=8,
-            initial=basis_state_mps([0] * 8),
-            sequence=catalog.GateGroupSequence(
-                (catalog.simon_circuit_mpo(),),
-                label="simon",
-                register_layout={
-                    "first": catalog.SIMON_FIRST_REGISTER,
-                    "second": catalog.SIMON_SECOND_REGISTER,
-                },
-            ),
-            policy=DEFAULT_POLICY,
-            default_measure=catalog.SIMON_FIRST_REGISTER,
-        )
-    if name in ("qft", "inverse-qft"):
-        if arg is None:
-            raise CircuitSpecError(f"builtin {name} needs a size, e.g. {name}(8)")
-        seq = catalog.qft_sequence(arg) if name == "qft" else catalog.inverse_qft_sequence(arg)
-        return LoadedCircuit(
-            label=seq.label,
-            n=arg,
-            initial=basis_state_mps([0] * arg),
-            sequence=seq,
-            policy=DEFAULT_POLICY,
-            default_measure=tuple(range(1, arg + 1)),
-        )
-    if name == "shor":
-        if arg is None:
-            raise CircuitSpecError("builtin shor needs a base, e.g. shor(7)")
-        try:
-            seq = catalog.shor_sequence(arg)
-        except ValueError as exc:
-            raise CircuitSpecError(str(exc)) from exc
-        n = seq.n
-        return LoadedCircuit(
-            label=f"shor({arg})",
-            n=n,
-            initial=basis_state_mps([0] * n),
-            sequence=seq,
-            policy=DEFAULT_POLICY,
-            default_measure=seq.register_layout["input"],
-            shor_base=arg,
-        )
-    raise CircuitSpecError(f"unknown builtin {text!r}")
+    sequence, initial, readout = _build_builtin(name, arg)
+    return LoadedCircuit(
+        label=sequence.label,
+        n=sequence.n,
+        initial=initial,
+        sequence=sequence,
+        policy=DEFAULT_POLICY,
+        default_measure=readout,
+        shor_base=arg if name == "shor" else None,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -475,30 +410,18 @@ def _print_summary(circuit: LoadedCircuit, run, report: SampleReport, shor_rows)
 # bench
 
 
-def _bench_circuit(family: str, size: int) -> LoadedCircuit:
-    if family == "qfa-network":
-        return load_builtin(f"qfa-network({size})")
-    if family in ("qft", "inverse-qft"):
-        return load_builtin(f"{family}({size})")
-    if family == "shor":
-        return load_builtin(f"shor({size})")
-    if family in ("qfa", "simon"):
-        return load_builtin(family)
-    raise CircuitSpecError(f"unknown bench family {family!r}")
-
-
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")] if args.sizes else [0]
+    sizes = [s.strip() for s in args.sizes.split(",")] if args.sizes else [""]
     lines = ["builtin,size,n_qubits,samples,repeats,mean_seconds,std_seconds,max_rank,rank_trajectory"]
     for size in sizes:
         times = []
         trajectory = ""
         max_rank = 0
         for repeat in range(args.repeats):
-            circuit = _bench_circuit(args.builtin, size)
+            circuit = load_builtin(f"{args.builtin}({size})" if size else args.builtin)
             initial = circuit.initial
             if args.builtin in ("qft", "inverse-qft"):
-                rng = np.random.default_rng((args.seed, size, repeat))
+                rng = np.random.default_rng((args.seed, circuit.n, repeat))
                 initial = basis_state_mps(rng.integers(0, 2, circuit.n))
             begin = time.perf_counter()
             run = catalog.run_gate_sequence(circuit.sequence, initial, circuit.policy)
@@ -566,21 +489,15 @@ def _check_simon() -> tuple[bool, str]:
     return True, "marginal support, probabilities and hidden string all match"
 
 
-def _check_qft(corrupt_phase: bool = False) -> tuple[bool, str]:
+def _check_qft() -> tuple[bool, str]:
     n = 6
-    groups = list(catalog.qft_sequence(n).groups)
-    if corrupt_phase:
-        cores = [np.array(c) for c in groups[0].cores]
-        cores[-1][1, 1, 1, 0] *= np.exp(1e-3j)  # negative control: detune one phase
-        groups[0] = MPO(cores)
+    sequence = catalog.qft_sequence(n)
     dft = dense_oracle.dft_matrix(n)
     reversal = dense_oracle.bit_reversal_permutation(n)
     rng = np.random.default_rng(7)
     for _ in range(5):
         bits = rng.integers(0, 2, n)
-        run = catalog.run_gate_sequence(
-            catalog.GateGroupSequence(tuple(groups), label="qft"), basis_state_mps(bits)
-        )
+        run = catalog.run_gate_sequence(sequence, basis_state_mps(bits))
         index = int("".join(map(str, bits)), 2)
         expected = dft[reversal, index]
         if np.max(np.abs(run.state.to_dense() - expected)) > 1e-10:
@@ -620,44 +537,19 @@ def _check_shor() -> tuple[bool, str]:
     return True, "supports, ranks, operators and a=7 extraction rows all match"
 
 
-def _check_oracle() -> tuple[bool, str]:
-    for n in range(1, 9):
-        dft = dense_oracle.dft_matrix(n)
-        if np.max(np.abs(dft.conj().T @ dft - np.eye(2 ** n))) > 1e-12:
-            return False, f"reference transform not unitary at n={n}"
-    rng = np.random.default_rng(3)
-    state = rng.standard_normal(16) + 1j * rng.standard_normal(16)
-    state /= np.linalg.norm(state)
-    out = dense_oracle.apply_gate_dense(state, PAULI_X, target=2, controls=(1, 4))
-    if abs(np.linalg.norm(out) - 1.0) > 1e-12:
-        return False, "controlled gate application does not preserve the norm"
-    if dense_oracle.mod_exp(7, 4, 15) != 1:
-        return False, "modular exponentiation is wrong"
-    return True, "reference implementations are self-consistent"
-
-
-_VERIFY_CHECKS = ("qfa", "simon", "qft", "shor")
+_VERIFY_CHECKS = {"qfa": _check_qfa, "simon": _check_simon, "qft": _check_qft, "shor": _check_shor}
 
 
 def cmd_verify(args) -> int:
     selected = _VERIFY_CHECKS if args.only is None else tuple(
         name for name in _VERIFY_CHECKS if name in {s.strip() for s in args.only.split(",")}
     )
-    if args.oracle:
-        selected = selected + ("oracle",)
     if not selected:
         print("warning: no checks selected, vacuous pass")
         return EXIT_OK
-    checks = {
-        "qfa": _check_qfa,
-        "simon": _check_simon,
-        "qft": lambda: _check_qft(corrupt_phase=args.corrupt_phase),
-        "shor": _check_shor,
-        "oracle": _check_oracle,
-    }
     failures = 0
     for name in selected:
-        ok, detail = checks[name]()
+        ok, detail = _VERIFY_CHECKS[name]()
         print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
         failures += 0 if ok else 1
     return EXIT_OK if failures == 0 else 1
@@ -687,7 +579,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.set_defaults(func=cmd_simulate)
 
     bench = sub.add_parser("bench", help="timing table over circuit sizes (CSV)")
-    bench.add_argument("builtin", help="family: qfa-network, qft, inverse-qft, qfa, simon, shor")
+    bench.add_argument("builtin", choices=tuple(catalog.BUILTINS), help="builtin name")
     bench.add_argument("--sizes", help="comma-separated sizes (adder count, qubits, or base)")
     bench.add_argument("--samples", type=int, default=10_000)
     bench.add_argument("--repeats", type=int, default=3)
@@ -697,8 +589,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run the golden-value checks")
     verify.add_argument("--only", help="comma-separated subset of checks to run")
-    verify.add_argument("--oracle", action="store_true", help=argparse.SUPPRESS)
-    verify.add_argument("--corrupt-phase", action="store_true", help=argparse.SUPPRESS)
     verify.set_defaults(func=cmd_verify)
     return parser
 

@@ -14,7 +14,6 @@ deterministic.
 
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass
 
@@ -165,16 +164,6 @@ class MPS:
         cores[0] = cores[0] * factor
         return MPS(cores)
 
-    def to_debug_json(self) -> str:
-        """JSON dump of ranks, dims and cores as nested [re, im] pairs."""
-        payload = {
-            "kind": "mps",
-            "dims": list(self.dims),
-            "ranks": list(self.ranks),
-            "cores": [np.stack([c.real, c.imag], axis=-1).tolist() for c in self.cores],
-        }
-        return json.dumps(payload)
-
 
 class MPO:
     """Matrix product operator: a chain of order-4 complex cores.
@@ -267,15 +256,6 @@ class MPO:
         """Conjugate transpose of the represented operator."""
         return MPO([c.conj().transpose(0, 2, 1, 3) for c in self.cores])
 
-    def to_debug_json(self) -> str:
-        payload = {
-            "kind": "mpo",
-            "dims": list(self.dims),
-            "ranks": list(self.ranks),
-            "cores": [np.stack([c.real, c.imag], axis=-1).tolist() for c in self.cores],
-        }
-        return json.dumps(payload)
-
 
 # ---------------------------------------------------------------------------
 # construction helpers
@@ -328,24 +308,16 @@ def named_state_mps(name: str, n: int) -> MPS:
         last[0, 0, 0] = 1.0
         last[1, 1, 0] = 1.0
         return MPS([first] + [mid] * (n - 2) + [last])
-    if key.startswith("bell_"):
+    if key in ("bell_phi_plus", "bell_phi_minus", "bell_psi_plus", "bell_psi_minus"):
         if n != 2:
             raise ValueError("Bell states are two-qubit states")
         sign = 1.0 if key.endswith("plus") else -1.0
+        flip = int(key.startswith("bell_psi"))
         first = np.zeros((1, 2, 2), dtype=np.complex128)
+        first[0, 0, 0] = first[0, 1, 1] = 1.0 / np.sqrt(2.0)
         last = np.zeros((2, 2, 1), dtype=np.complex128)
-        if key in ("bell_phi_plus", "bell_phi_minus"):
-            first[0, 0, 0] = 1.0 / np.sqrt(2.0)
-            first[0, 1, 1] = 1.0 / np.sqrt(2.0)
-            last[0, 0, 0] = 1.0
-            last[1, 1, 0] = sign
-        elif key in ("bell_psi_plus", "bell_psi_minus"):
-            first[0, 0, 0] = 1.0 / np.sqrt(2.0)
-            first[0, 1, 1] = 1.0 / np.sqrt(2.0)
-            last[0, 1, 0] = 1.0
-            last[1, 0, 0] = sign
-        else:
-            raise ValueError(f"unknown state name {name!r}")
+        last[0, flip, 0] = 1.0
+        last[1, 1 - flip, 0] = sign
         return MPS([first, last])
     raise ValueError(f"unknown state name {name!r}")
 
@@ -474,35 +446,6 @@ def _rebuild(value, cores):
     if isinstance(value, MPO):
         return MPO(cores)
     return MPS(cores)
-
-
-def transform_core_right(value, i: int, q: np.ndarray):
-    """Multiply core ``i`` (0-based) of an MPS or MPO by ``q`` on its right bond.
-
-    Changes the represented tensor unless compensated at core ``i+1``;
-    ``q`` may be singular.
-    """
-    q = np.asarray(q, dtype=np.complex128)
-    cores = list(value.cores)
-    last_axis = cores[i].ndim - 1
-    if q.shape[0] != cores[i].shape[last_axis]:
-        raise ValueError(f"q has {q.shape[0]} rows, core {i} has right rank {cores[i].shape[last_axis]}")
-    cores[i] = _right_multiplied(cores[i], q)
-    if i + 1 < len(cores) and cores[i + 1].shape[0] != q.shape[1]:
-        raise ValueError("transforming the last bond of a non-final core breaks the chain")
-    return _rebuild(value, cores)
-
-
-def transform_core_left(value, i: int, q: np.ndarray):
-    """Multiply core ``i`` (0-based) of an MPS or MPO by ``q`` on its left bond."""
-    q = np.asarray(q, dtype=np.complex128)
-    cores = list(value.cores)
-    if q.shape[1] != cores[i].shape[0]:
-        raise ValueError(f"q has {q.shape[1]} columns, core {i} has left rank {cores[i].shape[0]}")
-    cores[i] = _left_multiplied(cores[i], q)
-    if i > 0 and cores[i - 1].shape[cores[i - 1].ndim - 1] != q.shape[0]:
-        raise ValueError("transforming the first bond of a non-initial core breaks the chain")
-    return _rebuild(value, cores)
 
 
 def transform_bond(value, i: int, q: np.ndarray):

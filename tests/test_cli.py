@@ -2,9 +2,12 @@
 
 import json
 
+import numpy as np
 import pytest
 
+from mpoq import circuit_catalog as catalog
 from mpoq import cli
+from mpoq.tensor_core import MPO
 
 
 def run_cli(args, capsys):
@@ -17,7 +20,7 @@ def run_cli(args, capsys):
 # circuit loading
 
 
-def test_builtin_parsing_errors(capsys):
+def test_builtin_parsing_errors(tmp_path, capsys):
     code, _, err = run_cli(["simulate", "--builtin", "nonsense(3)"], capsys)
     assert code == cli.EXIT_SCHEMA
     assert "nonsense" in err
@@ -25,6 +28,23 @@ def test_builtin_parsing_errors(capsys):
     assert code == cli.EXIT_SCHEMA
     code, _, _ = run_cli(["simulate"], capsys)
     assert code == cli.EXIT_SCHEMA
+    bad_args = [
+        ["simulate", "--builtin", text]
+        for text in ("qfa-network(0)", "qfa(3)", "simon(9)", "qft(0)", "inverse-qft(0)")
+    ]
+    bad_args.append(["bench", "qfa-network"])
+    for n, op in (
+        (4, {"builtin": "qft", "params": {"n": 9}}),
+        (4, {"builtin": "qfa-network", "params": {"count": "x"}}),
+        (12, {"builtin": "shor", "params": {"a": 7}}),
+    ):
+        path = tmp_path / f"{op['builtin']}.json"
+        path.write_text(json.dumps({"n": n, "ops": [op]}))
+        bad_args.append(["simulate", "--circuit", str(path)])
+    for args in bad_args:
+        code, _, err = run_cli(args, capsys)
+        assert code == cli.EXIT_SCHEMA, args
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
 
 def test_schema_rejects_malformed_circuit(tmp_path, capsys):
@@ -231,6 +251,21 @@ def test_bench_single_point(tmp_path, capsys):
     assert float(fields[5]) > 0
 
 
+def test_every_builtin_runs_through_simulate_and_bench(tmp_path, capsys):
+    for name, entry in catalog.BUILTINS.items():
+        text = name if entry.arg is None else f"{name}({entry.example})"
+        out_path = tmp_path / f"{name}.csv"
+        code, _, _ = run_cli(
+            ["simulate", "--builtin", text, "--samples", "20", "--out", str(out_path)], capsys
+        )
+        assert code == 0, text
+        assert sum(int(line.split(",")[1]) for line in out_path.read_text().splitlines()[1:]) == 20
+        sizes = [] if entry.arg is None else ["--sizes", str(entry.example)]
+        code, out, _ = run_cli(["bench", name, *sizes, "--samples", "20", "--repeats", "1"], capsys)
+        assert code == 0, name
+        assert out.splitlines()[1].startswith(f"{name},"), name
+
+
 def test_bench_qft_rows(capsys):
     code, out, _ = run_cli(
         ["bench", "qft", "--sizes", "4,6", "--samples", "100", "--repeats", "1"], capsys
@@ -246,8 +281,18 @@ def test_verify_all_pass(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_negative_control(capsys):
-    code, out, _ = run_cli(["verify", "--only", "qft", "--corrupt-phase"], capsys)
+def test_verify_negative_control(monkeypatch, capsys):
+    qft_sequence = catalog.qft_sequence
+
+    def detuned(n):
+        sequence = qft_sequence(n)
+        cores = [np.array(c) for c in sequence.groups[0].cores]
+        cores[-1][1, 1, 1, 0] *= np.exp(1e-3j)  # detune one phase of group 0
+        groups = (MPO(cores),) + sequence.groups[1:]
+        return catalog.GateGroupSequence(groups, label=sequence.label)
+
+    monkeypatch.setattr(catalog, "qft_sequence", detuned)
+    code, out, _ = run_cli(["verify", "--only", "qft"], capsys)
     assert code == 1
     assert "FAIL qft" in out
 
@@ -256,12 +301,6 @@ def test_verify_vacuous_selection(capsys):
     code, out, _ = run_cli(["verify", "--only", "bogus"], capsys)
     assert code == 0
     assert "vacuous" in out
-
-
-def test_verify_oracle_check(capsys):
-    code, out, _ = run_cli(["verify", "--only", "qfa", "--oracle"], capsys)
-    assert code == 0
-    assert "PASS oracle" in out
 
 
 # ---------------------------------------------------------------------------

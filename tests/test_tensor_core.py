@@ -1,7 +1,5 @@
 """Unit tests for the chain containers and their algebra."""
 
-import json
-
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -297,12 +295,6 @@ def test_transform_bond_preserves_tensor():
         assert_allclose(moved.to_dense(), state.to_dense(), atol=1e-10)
 
 
-def test_transform_identity_is_noop():
-    state = tc.random_mps(4, 2, seed=19)
-    out = tc.transform_core_right(state, 1, np.eye(state.ranks[2]))
-    assert_allclose(out.to_dense(), state.to_dense(), atol=1e-14)
-
-
 def test_transform_bond_rejects_singular():
     state = tc.random_mps(4, 2, seed=20)
     with pytest.raises(np.linalg.LinAlgError):
@@ -323,7 +315,7 @@ def test_factored_cnot_core_manipulation():
 
 
 # ---------------------------------------------------------------------------
-# diagonal lifting and debug dumps
+# diagonal lifting
 
 
 def test_diag_mpo_of_basis_state_is_projector():
@@ -347,13 +339,3 @@ def test_diag_mpo_dense_is_diagonal():
     assert_allclose(np.diag(dense), state.to_dense(), atol=1e-12)
     assert_allclose(dense - np.diag(np.diag(dense)), 0.0, atol=1e-14)
 
-
-def test_debug_json_round_trip():
-    state = tc.named_state_mps("ghz", 3)
-    payload = json.loads(state.to_debug_json())
-    assert payload["ranks"] == [1, 2, 2, 1]
-    assert payload["dims"] == [2, 2, 2]
-    core = np.array(payload["cores"][0])
-    assert core.shape == (1, 2, 2, 2)  # trailing axis holds [re, im]
-    op = tc.MPO.identity(2)
-    assert json.loads(op.to_debug_json())["ranks"] == [1, 1, 1]

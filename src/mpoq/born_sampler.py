@@ -26,6 +26,7 @@ import numpy as np
 from .tensor_core import (
     LOSSLESS,
     MPS,
+    DenseCapExceeded,
     dense_cap,
     orthonormalize_right,
 )
@@ -190,7 +191,8 @@ def marginal_distribution(state: MPS, measured) -> np.ndarray:
     """Exact Born marginal over the 1-based positions ``measured``.
 
     Returns a nonnegative tensor of shape ``(2,) * m`` summing to one; the
-    input is normalized internally.  Guarded by the dense size cap.
+    input is normalized internally.  Raises :class:`DenseCapExceeded` when
+    ``2^m`` exceeds the dense size cap.
     """
     measured = sorted(set(measured))
     n = state.n
@@ -199,7 +201,9 @@ def marginal_distribution(state: MPS, measured) -> np.ndarray:
     if measured[0] < 1 or measured[-1] > n:
         raise ValueError(f"measured positions {measured} outside register [1, {n}]")
     if 2 ** len(measured) > dense_cap():
-        raise ValueError(f"marginal over {len(measured)} qubits exceeds the dense cap")
+        raise DenseCapExceeded(
+            f"exact marginal over {len(measured)} qubits exceeds the dense cap {dense_cap()}"
+        )
     keep = {p - 1 for p in measured}
     acc = np.ones((1, 1, 1), dtype=np.complex128)  # (outcomes, k, K)
     for i, core in enumerate(state.cores):

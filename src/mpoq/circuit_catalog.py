@@ -3,8 +3,8 @@
 Covers the four-qubit reversible full adder and chains of coupled adders,
 the fixed Simon instance with interleaved registers, the quantum Fourier
 transform split into per-qubit gate groups, and the modular-exponentiation
-operators for factoring 15, together with the sequential apply-and-
-orthonormalize executor, the classical period-extraction step and the
+operators for factoring 15, together with the windowed sequential
+executor, the classical period-extraction step and the
 registry of named builtin circuits.
 
 No SWAP gates are used anywhere; where the omission matters (QFT output,
@@ -38,8 +38,10 @@ from .tensor_core import (
     MPO,
     MPS,
     TruncationPolicy,
+    apply_window,
     basis_state_mps,
     compress_mpo,
+    move_center,
     mpo_add,
     orthonormalize_left,
     orthonormalize_right,
@@ -328,22 +330,34 @@ def run_gate_sequence(
     initial: MPS,
     policy: TruncationPolicy = DEFAULT_POLICY,
 ) -> RunResult:
-    """Alternate applying a group and re-orthonormalizing the state.
+    """Apply the groups in order, each on its support window only.
 
-    Each step rounds the state back to its true ranks (a lossless left
-    sweep followed by a truncating right sweep, so the result is also
-    right-orthonormal and directly samplable).  With unitary groups and a
-    normalized input the result stays normalized.
+    The input is first rounded once with ``policy`` (a lossless left sweep
+    and a truncating right sweep, as a full-width step would do), which
+    leaves it right-orthonormal with the center on site 1; the center is
+    then tracked.  Each group is contracted on the span between its
+    outermost non-identity cores and only that span, plus one bond on each
+    side, is rounded back to its numerical ranks
+    (:func:`tensor_core.apply_window`), so a group costs what its window
+    costs, not what the register costs.  For unitary
+    groups the bond profile after each group equals that of a full
+    lossless-left, truncating-right sweep.  The returned state is
+    right-orthonormal and directly samplable; with unitary groups and a
+    normalized input it stays normalized.
     """
-    state = initial
+    if not sequence.groups:
+        return RunResult(state=initial, rank_history=())
+    # the sequence guarantees that all its groups share one register
+    if sequence.groups[0].dims != initial.dims:
+        raise ValueError("group register size does not match the state")
+    cores = list(orthonormalize_right(orthonormalize_left(initial, LOSSLESS), policy).cores)
+    center = 0
     history = []
     for group in sequence.groups:
-        if group.dims != state.dims:
-            raise ValueError("group register size does not match the state")
-        state = orthonormalize_left(group.apply(state), LOSSLESS)
-        state = orthonormalize_right(state, policy)
-        history.append(state.ranks)
-    return RunResult(state=state, rank_history=tuple(history))
+        center = apply_window(cores, center, group, policy)
+        history.append((1,) + tuple(c.shape[2] for c in cores))
+    move_center(cores, center, 0)
+    return RunResult(state=MPS(cores, right_orthonormal=True), rank_history=tuple(history))
 
 
 # ---------------------------------------------------------------------------

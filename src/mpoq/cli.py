@@ -6,8 +6,9 @@ builtin registry ``circuit_catalog.BUILTINS``: ``qfa``, ``qfa-network(count)``,
 written as CSV or JSON and is byte-stable for a fixed circuit, seed and
 package version.
 
-Exit codes: 0 success, 2 malformed circuit description, 3 numerical
-failure, 4 zero-probability postselection.
+Exit codes: 0 success, 2 malformed circuit description or command line
+(including an exact output above the dense cap), 3 numerical failure,
+4 zero-probability postselection.  Every failure prints one ``error:`` line.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .tensor_core import (
     DEFAULT_POLICY,
     MPO,
     MPS,
+    DenseCapExceeded,
     TruncationPolicy,
     basis_state_mps,
     named_state_mps,
@@ -272,11 +274,14 @@ def _parse_positions(text: str, n: int) -> tuple[int, ...]:
         part = part.strip()
         if not part:
             continue
-        if "-" in part:
-            lo, hi = part.split("-", 1)
-            positions.extend(range(int(lo), int(hi) + 1))
-        else:
-            positions.append(int(part))
+        try:
+            if "-" in part:
+                lo, hi = part.split("-", 1)
+                positions.extend(range(int(lo), int(hi) + 1))
+            else:
+                positions.append(int(part))
+        except ValueError:
+            raise CircuitSpecError(f"bad position {part!r} in {text!r}") from None
     if not positions:
         raise CircuitSpecError(f"empty position list {text!r}")
     out = tuple(sorted(set(positions)))
@@ -291,10 +296,11 @@ def _parse_postselect(text: str, n: int) -> dict[int, int]:
         part = part.strip()
         if not part:
             continue
-        if "=" not in part:
-            raise CircuitSpecError(f"postselect entry {part!r} must look like position=bit")
-        pos, bit = part.split("=", 1)
-        assignment[int(pos)] = int(bit)
+        pos, _, bit = part.partition("=")
+        try:
+            assignment[int(pos)] = int(bit)
+        except ValueError:
+            raise CircuitSpecError(f"postselect entry {part!r} must look like position=bit") from None
     for p, b in assignment.items():
         if not 1 <= p <= n or b not in (0, 1):
             raise CircuitSpecError(f"bad postselect entry {p}={b}")
@@ -326,15 +332,23 @@ def cmd_simulate(args) -> int:
         _parse_positions(args.measure, circuit.n) if args.measure else circuit.default_measure
     )
     postselect = _parse_postselect(args.postselect, circuit.n) if args.postselect else {}
+    try:
+        plan = MeasurementPlan(
+            measured=measured,
+            sample_count=args.samples,
+            seed=args.seed,
+            postselect=postselect,
+        )
+    except ValueError as exc:
+        raise CircuitSpecError(str(exc)) from exc
 
     run = catalog.run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
-    plan = MeasurementPlan(
-        measured=measured,
-        sample_count=args.samples,
-        seed=args.seed,
-        postselect=postselect,
-    )
-    report = sample(run.state, plan)
+    try:
+        report = sample(run.state, plan)
+    except DenseCapExceeded as exc:
+        raise CircuitSpecError(
+            f"{exc}; draw samples with --samples N or measure fewer qubits with --measure"
+        ) from exc
 
     shor_rows = None
     if circuit.shor_base is not None and measured == circuit.default_measure:
@@ -559,8 +573,29 @@ def cmd_verify(args) -> int:
 # entry point
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reports a bad command line as a :class:`CircuitSpecError` (exit 2)."""
+
+    def error(self, message):
+        raise CircuitSpecError(message)
+
+
+def _at_least(minimum: int):
+    """argparse ``type`` accepting integers of at least ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            if int(text) >= minimum:
+                return int(text)
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+
+    return parse
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="mpoq",
         description="Tensor-network quantum circuit simulator (low-rank operator chains)",
     )
@@ -570,7 +605,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim = sub.add_parser("simulate", help="run a circuit and emit distributions or samples")
     sim.add_argument("--circuit", help="JSON circuit description file")
     sim.add_argument("--builtin", help="builtin circuit, e.g. simon, qft(10), shor(7)")
-    sim.add_argument("--samples", type=int, default=0, help="number of samples (0: exact only)")
+    sim.add_argument("--samples", type=_at_least(0), default=0, help="number of samples (0: exact only)")
     sim.add_argument("--seed", type=int, default=0)
     sim.add_argument("--measure", help="positions, e.g. '1,3,5-8' or 'all'")
     sim.add_argument("--postselect", help="fixed bits, e.g. '2=0,4=1'")
@@ -581,8 +616,8 @@ def build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="timing table over circuit sizes (CSV)")
     bench.add_argument("builtin", choices=tuple(catalog.BUILTINS), help="builtin name")
     bench.add_argument("--sizes", help="comma-separated sizes (adder count, qubits, or base)")
-    bench.add_argument("--samples", type=int, default=10_000)
-    bench.add_argument("--repeats", type=int, default=3)
+    bench.add_argument("--samples", type=_at_least(0), default=10_000)
+    bench.add_argument("--repeats", type=_at_least(1), default=3)
     bench.add_argument("--seed", type=int, default=0)
     bench.add_argument("--out", help="output CSV path")
     bench.set_defaults(func=cmd_bench)
@@ -594,9 +629,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CircuitSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,11 @@ operators in a chain of order-4 cores of shape ``(R_left, d, d, R_right)``
 with the row (output) physical index first.  Boundary bond dimensions are
 always 1.  All values are immutable after construction: every operation
 returns a new object, and the stored arrays are marked read-only so they
-can be shared freely across threads.
+can be shared freely across threads.  The site steps at the end of the
+module (``svd_step``, ``move_center``, ``apply_window``) are the
+exception: they replace entries of a caller-owned list of state cores in
+place, so an executor can keep one chain in mixed-canonical form across
+many operators.
 
 Bond indices use one fixed lumping convention throughout (first index
 varies fastest, i.e. Fortran-order reshapes), which keeps the SVD sweeps
@@ -14,6 +18,7 @@ deterministic.
 
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -223,16 +228,23 @@ class MPO:
             acc = acc.reshape(s[0], s[1] * s[2], s[3] * s[4], s[5])
         return acc[0, :, :, 0]
 
+    def support(self) -> tuple[int, int] | None:
+        """0-based span ``(lo, hi)`` between the outermost cores that are not
+        the rank-1 identity; ``None`` when every core is."""
+        lo, hi = 0, self.n - 1
+        while lo <= hi and _is_identity_core(self.cores[lo]):
+            lo += 1
+        if lo > hi:
+            return None
+        while _is_identity_core(self.cores[hi]):
+            hi -= 1
+        return lo, hi
+
     def apply(self, state: MPS) -> MPS:
         """Operator-state product; output ranks are the exact products."""
         if self.dims != state.dims:
             raise ValueError(f"dimension mismatch: {self.dims} vs {state.dims}")
-        cores = []
-        for g, t in zip(self.cores, state.cores):
-            merged = np.einsum("KxzL,kzl->KkxLl", g, t, optimize=True)
-            s = merged.shape
-            cores.append(merged.reshape(s[0] * s[1], s[2], s[3] * s[4]))
-        return MPS(cores)
+        return MPS([apply_core(g, t) for g, t in zip(self.cores, state.cores)])
 
     def __matmul__(self, other):
         if isinstance(other, MPS):
@@ -241,12 +253,7 @@ class MPO:
             return NotImplemented
         if self.dims != other.dims:
             raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
-        cores = []
-        for g, h in zip(self.cores, other.cores):
-            merged = np.einsum("KxzL,kzyl->KkxyLl", g, h, optimize=True)
-            s = merged.shape
-            cores.append(merged.reshape(s[0] * s[1], s[2], s[3], s[4] * s[5]))
-        return MPO(cores)
+        return MPO([apply_core(g, h) for g, h in zip(self.cores, other.cores)])
 
     def conj(self) -> "MPO":
         """Elementwise complex conjugate of the represented operator."""
@@ -255,6 +262,33 @@ class MPO:
     def adjoint(self) -> "MPO":
         """Conjugate transpose of the represented operator."""
         return MPO([c.conj().transpose(0, 2, 1, 3) for c in self.cores])
+
+
+@functools.lru_cache(maxsize=None)
+def _identity_bytes(d: int) -> bytes:
+    # cached: MPO.support tests up to n cores per gate, and building eye(d)
+    # each time costs about 15 times the byte comparison itself
+    return np.eye(d, dtype=np.complex128).tobytes()
+
+
+def _is_identity_core(core: np.ndarray) -> bool:
+    r, d, _, s = core.shape
+    return r == 1 and s == 1 and core.tobytes() == _identity_bytes(d)
+
+
+def apply_core(op_core: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """One site of an operator product, ``(K, x, z, L)`` times ``(k, z, ..., l)``.
+
+    Contracts the operator's input index with the physical (or output)
+    index of ``core`` and merges the bonds to ``K*k`` and ``L*l`` with the
+    operator's bond varying slowest.  Serves operator-state (order-3
+    ``core``) and operator-operator (order-4) products alike.
+    """
+    out = np.tensordot(op_core, core, axes=([2], [1]))  # (K, x, L, k, [y,] l)
+    last = out.ndim - 1
+    out = out.transpose(0, 3, 1, *range(4, last), 2, last)
+    s = out.shape
+    return out.reshape(s[0] * s[1], *s[2:-2], s[-2] * s[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -371,24 +405,18 @@ def _truncated_svd(mat: np.ndarray, policy: TruncationPolicy):
 def orthonormalize_right(state: MPS, policy: TruncationPolicy = DEFAULT_POLICY) -> MPS:
     """Right-to-left SVD sweep; afterwards all cores but the first are
     right-orthonormal and the ranks are non-increasing."""
-    cores = [np.asarray(c) for c in state.cores]
+    cores = list(state.cores)
     for i in range(len(cores) - 1, 0, -1):
-        _, d, s = cores[i].shape
-        u, sv, vh = _truncated_svd(_right_unfold(cores[i]), policy)
-        cores[i] = _right_fold(vh, d, s)
-        cores[i - 1] = np.einsum("kxl,lm->kxm", cores[i - 1], u * sv)
+        svd_step(cores, i, -1, policy)
     return MPS(cores, right_orthonormal=True)
 
 
 def orthonormalize_left(state: MPS, policy: TruncationPolicy = DEFAULT_POLICY) -> MPS:
     """Left-to-right SVD sweep; afterwards all cores but the last are
     left-orthonormal and the ranks are non-increasing."""
-    cores = [np.asarray(c) for c in state.cores]
+    cores = list(state.cores)
     for i in range(len(cores) - 1):
-        r, d, _ = cores[i].shape
-        u, sv, vh = _truncated_svd(_left_unfold(cores[i]), policy)
-        cores[i] = _left_fold(u, r, d)
-        cores[i + 1] = np.einsum("lm,mxn->lxn", sv[:, None] * vh, cores[i + 1])
+        svd_step(cores, i, 1, policy)
     return MPS(cores)
 
 
@@ -435,11 +463,11 @@ def compress_mpo(op: MPO, policy: TruncationPolicy = DEFAULT_POLICY) -> MPO:
 
 
 def _right_multiplied(core: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.tensordot(core, q, axes=([core.ndim - 1], [0]))
+    return core @ q
 
 
 def _left_multiplied(core: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return np.tensordot(q, core, axes=([1], [0]))
+    return (q @ core.reshape(core.shape[0], -1)).reshape(q.shape[0], *core.shape[1:])
 
 
 def _rebuild(value, cores):
@@ -502,3 +530,62 @@ def diag_mpo(state: MPS) -> MPO:
             out[:, x, x, :] = c[:, x, :]
         cores.append(out)
     return MPO(cores)
+
+
+# ---------------------------------------------------------------------------
+# in-place site steps on a mixed-canonical chain
+#
+# The chain is a list of state cores with an orthogonality center c: cores
+# left of c are left-orthonormal, cores right of c right-orthonormal.
+
+
+def svd_step(cores: list, i: int, step: int, policy: TruncationPolicy) -> None:
+    """Truncating split of site ``i`` toward ``i + step`` (+1 or -1).
+
+    Core ``i`` becomes left- (+1) or right-orthonormal (-1) with the bond
+    to the neighbour cut by ``policy``; the singular values and the other
+    factor move into the neighbour.
+    """
+    r, d, s = cores[i].shape
+    if step > 0:
+        u, sv, vh = _truncated_svd(_left_unfold(cores[i]), policy)
+        cores[i] = _left_fold(u, r, d)
+        cores[i + 1] = _left_multiplied(cores[i + 1], sv[:, None] * vh)
+    else:
+        u, sv, vh = _truncated_svd(_right_unfold(cores[i]), policy)
+        cores[i] = _right_fold(vh, d, s)
+        cores[i - 1] = _right_multiplied(cores[i - 1], u * sv)
+
+
+def move_center(cores: list, center: int, target: int) -> int:
+    """Lossless steps from ``center`` to ``target``; returns ``target``."""
+    for i in range(center, target):
+        svd_step(cores, i, 1, LOSSLESS)
+    for i in range(center, target, -1):
+        svd_step(cores, i, -1, LOSSLESS)
+    return target
+
+
+def apply_window(cores: list, center: int, op: MPO, policy: TruncationPolicy) -> int:
+    """Apply ``op`` to the mixed-canonical chain on its support only.
+
+    The center moves into the support ``[lo, hi]`` of ``op``, the operator
+    cores are contracted there, and the window is re-canonicalized: lossless
+    steps left to right up to ``hi + 1``, then truncating steps back down to
+    ``lo - 1``.  Every bond from ``lo - 1|lo`` to ``hi|hi + 1`` is cut by
+    ``policy`` against orthonormal environments, so its rank is the
+    numerical Schmidt rank; bonds outside keep their ranks.  Returns the new
+    center (``max(lo - 1, 0)``, or ``center`` when ``op`` is the identity).
+    """
+    support = op.support()
+    if support is None:
+        return center
+    lo, hi = support
+    move_center(cores, center, min(max(center, lo), hi))
+    for i in range(lo, hi + 1):
+        cores[i] = apply_core(op.cores[i], cores[i])
+    right = move_center(cores, lo, min(hi + 1, len(cores) - 1))
+    left = max(lo - 1, 0)
+    for i in range(right, left, -1):
+        svd_step(cores, i, -1, policy)
+    return left

@@ -208,6 +208,13 @@ def test_seed_determinism_and_independence_of_sample_count():
     assert a.counts == b.counts
     assert a.to_csv_text() == b.to_csv_text()
     assert a.to_json_text() == b.to_json_text()
+    # the first N draws of a larger run are the N-sample run, across chunks
+    sizes = (2000, 70_000, 140_000)
+    assert sizes[-1] > bs._CHUNK
+    reports = [bs.sample(state, bs.MeasurementPlan(measured=(1, 3, 5), sample_count=s, seed=9))
+               for s in sizes]
+    for small, large in zip(reports, reports[1:]):
+        assert all(count <= large.counts.get(key, 0) for key, count in small.counts.items())
 
 
 def test_frequencies_converge_to_marginal():

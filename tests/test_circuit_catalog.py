@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mpoq import circuit_catalog as cat
@@ -14,12 +16,14 @@ from mpoq.gate_library import (
     HADAMARD,
     IDENTITY,
     PAULI_X,
+    GatePlacement,
     cnot_mpo,
     cphase_mpo,
     hadamard_layer,
+    phase_shift,
+    phase_shift_k,
     toffoli_mpo,
 )
-
 
 
 def gate_product_mpo(placements, n):
@@ -279,6 +283,106 @@ def test_run_gate_sequence_normalization_and_mismatch():
     assert run.state.norm() == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         cat.run_gate_sequence(cat.qft_sequence(5), tc.basis_state_mps([0] * 4))
+
+
+def full_sweep_run(groups, state, policy=tc.DEFAULT_POLICY):
+    """Reference executor: full apply, lossless left sweep, truncating right sweep."""
+    history = []
+    for group in groups:
+        state = tc.orthonormalize_right(tc.orthonormalize_left(group.apply(state), tc.LOSSLESS), policy)
+        history.append(state.ranks)
+    return state, tuple(history)
+
+
+_ROTATION = np.array([[np.cos(0.4), -np.sin(0.4)], [np.sin(0.4), np.cos(0.4)]], dtype=complex)
+_GATES = (HADAMARD, PAULI_X, phase_shift_k(3), phase_shift(0.7), _ROTATION)
+
+
+@st.composite
+def gate_circuits(draw):
+    """Random gate-level circuits: (n, [(gate index, target, controls)], initial state).
+
+    Controls land on either side of the target and need not be adjacent to
+    it.  The initial state is a basis state (flagged right-orthonormal) or a
+    generic random state (not flagged).
+    """
+    n = draw(st.integers(2, 8))
+    ops = []
+    for _ in range(draw(st.integers(1, 12))):
+        positions = draw(st.permutations(range(1, n + 1)))[: draw(st.integers(1, min(3, n)))]
+        ops.append((draw(st.integers(0, len(_GATES) - 1)), positions[0], tuple(positions[1:])))
+    initial = draw(st.one_of(
+        st.lists(st.integers(0, 1), min_size=n, max_size=n).map(tc.basis_state_mps),
+        st.integers(0, 2 ** 16).map(lambda seed: tc.random_mps(n, 3, seed=seed)),
+    ))
+    return n, ops, initial
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(gate_circuits())
+@example((6, [(0, 6, ()), (1, 1, (6,)), (0, 2, ()), (1, 4, (6, 2))], tc.basis_state_mps([0] * 6)))
+@example((7, [(0, 1, ()), (1, 7, (1,)), (2, 3, (7,)), (4, 5, (2, 6))], tc.random_mps(7, 3, seed=5)))
+def test_windowed_executor_matches_full_sweeps_and_dense_oracle(circuit):
+    n, ops, initial = circuit
+    groups = tuple(GatePlacement(_GATES[g], t, c).to_mpo(n) for g, t, c in ops)
+    run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial)
+
+    dense = initial.to_dense()
+    for g, t, c in ops:
+        dense = oracle.apply_gate_dense(dense, _GATES[g], target=t, controls=c)
+    assert_allclose(run.state.to_dense(), dense, atol=1e-10)
+    assert run.rank_history == full_sweep_run(groups, initial)[1]
+    assert run.state.right_orthonormal and tc.is_right_orthonormal(run.state)
+
+
+def test_windowed_executor_rounds_bonds_beside_a_projector():
+    # GHZ(5), then project qubit 3 onto |1>: the group's support is qubit 3
+    # alone, and the bonds on either side of it drop from 2 to 1
+    n = 5
+    placements = [GatePlacement(HADAMARD, 1)]
+    placements += [GatePlacement(PAULI_X, q + 1, (q,)) for q in range(1, n)]
+    placements.append(GatePlacement(CONTROL_1, 3))
+    groups = tuple(p.to_mpo(n) for p in placements)
+    initial = tc.basis_state_mps([0] * n)
+    run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial)
+    reference, history = full_sweep_run(groups, initial)
+
+    assert run.rank_history[:-1] == history[:-1]
+    assert run.rank_history[-1][2:4] == history[-1][2:4] == (1, 1)
+    assert_allclose(run.state.to_dense(), reference.to_dense(), atol=1e-12)
+    assert run.state.right_orthonormal and tc.is_right_orthonormal(run.state)
+
+
+@pytest.mark.parametrize("name", ["w", "ghz"])
+def test_windowed_executor_caps_the_bonds_of_a_named_input(name):
+    # one gate on the last qubit leaves bonds 1|2 .. n-2|n-1 outside its
+    # window; the policy must still cut them, as a full-width step does
+    n, policy = 4, tc.TruncationPolicy(max_rank=1)
+    groups = (GatePlacement(HADAMARD, n).to_mpo(n),)
+    initial = tc.named_state_mps(name, n)
+    run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial, policy)
+
+    assert run.rank_history == full_sweep_run(groups, initial, policy)[1] == ((1,) * (n + 1),)
+    assert run.max_rank_seen == 1
+
+
+@pytest.mark.parametrize("flagged", [False, True])
+@pytest.mark.parametrize("target", [1, 3, 6])
+def test_windowed_executor_truncates_a_generic_input_like_full_sweeps(flagged, target):
+    # a single-qubit unitary commutes with Schmidt truncation, so rounding
+    # the input first and applying the gate after gives the same state; a
+    # generic input has no ties among its singular values
+    n, policy = 6, tc.TruncationPolicy(max_rank=2)
+    initial = tc.random_mps(n, 4, seed=3)
+    if flagged:
+        initial = tc.orthonormalize_right(initial, tc.LOSSLESS)
+    groups = (GatePlacement(HADAMARD, target).to_mpo(n),)
+    run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial, policy)
+    reference, history = full_sweep_run(groups, initial, policy)
+
+    assert run.rank_history == history == ((1, 2, 2, 2, 2, 2, 1),)
+    assert_allclose(run.state.to_dense(), reference.to_dense(), atol=1e-12)
+    assert run.state.right_orthonormal and tc.is_right_orthonormal(run.state)
 
 
 def test_sequence_layout_validation():

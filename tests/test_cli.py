@@ -47,6 +47,29 @@ def test_builtin_parsing_errors(tmp_path, capsys):
         assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--builtin", "qfa", "--measure", "x"],
+        ["simulate", "--builtin", "qfa", "--samples", "-1"],
+        ["simulate", "--builtin", "qfa", "--postselect", "1=0", "--measure", "1-4"],
+        ["bench", "qfa", "--repeats", "0"],
+    ],
+    ids=["measure-x", "negative-samples", "postselect-measured", "zero-repeats"],
+)
+def test_bad_command_line_exits_2(args, capsys):
+    code, _, err = run_cli(args, capsys)
+    assert code == cli.EXIT_SCHEMA
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+def test_exact_output_above_dense_cap_exits_2(capsys):
+    code, _, err = run_cli(["simulate", "--builtin", "qft(24)"], capsys)
+    assert code == cli.EXIT_SCHEMA
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "--samples" in err and "--measure" in err
+
+
 def test_schema_rejects_malformed_circuit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "ops": [{"gate": "h"}]}))

@@ -253,16 +253,13 @@ def qft_group_mpo(i: int, n: int) -> MPO:
     controlled dyadic phases, merged into one chain of bond rank <= 2."""
     if not 1 <= i <= n:
         raise ValueError(f"group index {i} outside [1, {n}]")
-    eye = IDENTITY[None, :, :, None]
-    cores = [eye] * (i - 1)
     if i == n:
-        cores.append(HADAMARD[None, :, :, None])
-        return MPO(cores)
-    cores.append(_row([_QFT_TOP_0, _QFT_TOP_1]))
+        return MPO.embed([HADAMARD[None, :, :, None]], n - 1, n)
+    cores = [_row([_QFT_TOP_0, _QFT_TOP_1])]
     for j in range(i + 1, n):
         cores.append(_block([[IDENTITY, None], [None, phase_shift_k(j - i + 1)]]))
     cores.append(_col([IDENTITY, phase_shift_k(n - i + 1)]))
-    return MPO(cores)
+    return MPO.embed(cores, i - 1, n)
 
 
 def inverse_qft_group_mpo(i: int, n: int) -> MPO:
@@ -335,9 +332,9 @@ def run_gate_sequence(
     The input is first rounded once with ``policy`` (a lossless left sweep
     and a truncating right sweep, as a full-width step would do), which
     leaves it right-orthonormal with the center on site 1; the center is
-    then tracked.  Each group is contracted on the span between its
-    outermost non-identity cores and only that span, plus one bond on each
-    side, is rounded back to its numerical ranks
+    then tracked.  Each group is contracted on its recorded span
+    (``MPO.span``) and only that span, plus one bond on each side, is
+    rounded back to its numerical ranks
     (:func:`tensor_core.apply_window`), so a group costs what its window
     costs, not what the register costs.  For unitary
     groups the bond profile after each group equals that of a full
@@ -518,11 +515,6 @@ class ShorResult:
         return tuple(sorted(found))
 
 
-def _embed_trailing_identity(op: MPO, total: int) -> MPO:
-    eye = IDENTITY[None, :, :, None]
-    return MPO(list(op.cores) + [eye] * (total - op.n))
-
-
 def shor_sequence(a: int, modulus: int = SHOR_MODULUS) -> GateGroupSequence:
     """Factoring pipeline as a group sequence: superpose, U_f, Fourier-invert.
 
@@ -537,9 +529,10 @@ def shor_sequence(a: int, modulus: int = SHOR_MODULUS) -> GateGroupSequence:
         hadamard_layer(range(1, n_input + 1), total),
         modular_exponentiation_mpo(a, modulus),
     ]
-    # conjugated = inverse transform up to the qubit reversal read off later
+    # conjugated = inverse transform up to the qubit reversal read off later;
+    # group i acts on input qubits i..n_input
     groups += [
-        _embed_trailing_identity(qft_group_mpo(i, n_input).conj(), total)
+        MPO.embed(qft_group_mpo(i, n_input).conj().cores[i - 1:], i - 1, total)
         for i in range(1, n_input + 1)
     ]
     return GateGroupSequence(

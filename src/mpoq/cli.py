@@ -298,9 +298,12 @@ def _parse_postselect(text: str, n: int) -> dict[int, int]:
             continue
         pos, _, bit = part.partition("=")
         try:
-            assignment[int(pos)] = int(bit)
+            pos, bit = int(pos), int(bit)
         except ValueError:
             raise CircuitSpecError(f"postselect entry {part!r} must look like position=bit") from None
+        if pos in assignment:
+            raise CircuitSpecError(f"postselect position {pos} given more than once")
+        assignment[pos] = bit
     for p, b in assignment.items():
         if not 1 <= p <= n or b not in (0, 1):
             raise CircuitSpecError(f"bad postselect entry {p}={b}")

@@ -89,11 +89,7 @@ def single_qubit_mpo(matrix: np.ndarray, position: int, n: int) -> MPO:
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (2, 2):
         raise ValueError("single-qubit gate must be 2x2")
-    cores = []
-    for q in range(1, n + 1):
-        m = matrix if q == position else IDENTITY
-        cores.append(m[None, :, :, None])
-    return MPO(cores)
+    return MPO.embed([matrix[None, :, :, None]], position - 1, n)
 
 
 def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
@@ -114,46 +110,27 @@ def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
     involved[target] = matrix - IDENTITY
     lo, hi = min(involved), max(involved)
     cores = []
-    for q in range(1, n + 1):
-        if q < lo or q > hi:
-            cores.append(IDENTITY[None, :, :, None])
-        elif q == lo:
+    for q in range(lo, hi + 1):
+        if q == lo:
             core = np.zeros((1, 2, 2, 2), dtype=np.complex128)
             core[0, :, :, 0] = IDENTITY
             core[0, :, :, 1] = involved[q]
-            cores.append(core)
         elif q == hi:
             core = np.zeros((2, 2, 2, 1), dtype=np.complex128)
             core[0, :, :, 0] = IDENTITY
             core[1, :, :, 0] = involved[q]
-            cores.append(core)
         else:
             core = np.zeros((2, 2, 2, 2), dtype=np.complex128)
             core[0, :, :, 0] = IDENTITY
             core[1, :, :, 1] = involved.get(q, IDENTITY)
-            cores.append(core)
-    return MPO(cores)
+        cores.append(core)
+    return MPO.embed(cores, lo - 1, n)
 
 
 def hadamard_layer(positions, n: int) -> MPO:
     """Rank-1 operator with Hadamards at ``positions``, identity elsewhere."""
     positions = set(positions)
     _check_positions(sorted(positions), n)
-    cores = []
-    for q in range(1, n + 1):
-        m = HADAMARD if q in positions else IDENTITY
-        cores.append(m[None, :, :, None])
-    return MPO(cores)
-
-
-def cnot_mpo(control: int, target: int, n: int) -> MPO:
-    return controlled_mpo((control,), PAULI_X, target, n)
-
-
-def toffoli_mpo(control_1: int, control_2: int, target: int, n: int) -> MPO:
-    return controlled_mpo((control_1, control_2), PAULI_X, target, n)
-
-
-def cphase_mpo(control: int, target: int, n: int, k: int, *, inverse: bool = False) -> MPO:
-    """Controlled dyadic phase gate; control and target are interchangeable."""
-    return controlled_mpo((control,), phase_shift_k(k, inverse=inverse), target, n)
+    lo, hi = (min(positions), max(positions)) if positions else (1, 1)
+    mats = [HADAMARD if q in positions else IDENTITY for q in range(lo, hi + 1)]
+    return MPO.embed([m[None, :, :, None] for m in mats], lo - 1, n)

@@ -11,6 +11,11 @@ exception: they replace entries of a caller-owned list of state cores in
 place, so an executor can keep one chain in mixed-canonical form across
 many operators.
 
+An operator records the sites it acts on as ``MPO.span``.  Whoever builds
+a gate or gate group knows that window and lifts it with ``MPO.embed``,
+the one place that pads with identity cores; ``apply_window`` works on
+the recorded span only.
+
 Bond indices use one fixed lumping convention throughout (first index
 varies fastest, i.e. Fortran-order reshapes), which keeps the SVD sweeps
 deterministic.
@@ -18,7 +23,6 @@ deterministic.
 
 from __future__ import annotations
 
-import functools
 import os
 from dataclasses import dataclass
 
@@ -174,10 +178,13 @@ class MPO:
     """Matrix product operator: a chain of order-4 complex cores.
 
     Core ``i`` has shape ``(R_{i-1}, d_i, d_i, R_i)`` with the output
-    (row) physical index before the input (column) one.
+    (row) physical index before the input (column) one.  ``span = (lo, hi)``
+    (0-based, inclusive) holds the cores the operator acts on; every core
+    outside it is the rank-1 identity.  ``MPO(cores)`` spans the whole
+    register; :meth:`embed` records a narrower span.
     """
 
-    __slots__ = ("cores",)
+    __slots__ = ("cores", "span")
 
     def __init__(self, cores) -> None:
         cores = [_freeze(c) for c in cores]
@@ -194,6 +201,21 @@ class MPO:
             if cores[i].shape[0] != cores[i - 1].shape[3]:
                 raise ValueError(f"bond mismatch between cores {i - 1} and {i}")
         self.cores = tuple(cores)
+        self.span = (0, len(cores) - 1)
+
+    @classmethod
+    def embed(cls, cores, start: int, n: int) -> "MPO":
+        """Operator acting as ``cores`` on sites ``start, start + 1, ...``
+        (0-based) of an ``n``-site register and as the identity elsewhere;
+        its span is the sites of ``cores``."""
+        cores = list(cores)
+        hi = start + len(cores) - 1
+        if start < 0 or hi >= n:
+            raise ValueError(f"window {start}..{hi} outside a register of {n} sites")
+        eye = np.eye(cores[0].shape[1], dtype=np.complex128)[None, :, :, None]
+        op = cls([eye] * start + cores + [eye] * (n - 1 - hi))
+        op.span = (start, hi)
+        return op
 
     @classmethod
     def identity(cls, n: int, d: int = 2) -> "MPO":
@@ -228,18 +250,6 @@ class MPO:
             acc = acc.reshape(s[0], s[1] * s[2], s[3] * s[4], s[5])
         return acc[0, :, :, 0]
 
-    def support(self) -> tuple[int, int] | None:
-        """0-based span ``(lo, hi)`` between the outermost cores that are not
-        the rank-1 identity; ``None`` when every core is."""
-        lo, hi = 0, self.n - 1
-        while lo <= hi and _is_identity_core(self.cores[lo]):
-            lo += 1
-        if lo > hi:
-            return None
-        while _is_identity_core(self.cores[hi]):
-            hi -= 1
-        return lo, hi
-
     def apply(self, state: MPS) -> MPS:
         """Operator-state product; output ranks are the exact products."""
         if self.dims != state.dims:
@@ -257,23 +267,14 @@ class MPO:
 
     def conj(self) -> "MPO":
         """Elementwise complex conjugate of the represented operator."""
-        return MPO([c.conj() for c in self.cores])
+        lo, hi = self.span
+        return MPO.embed([c.conj() for c in self.cores[lo:hi + 1]], lo, self.n)
 
     def adjoint(self) -> "MPO":
         """Conjugate transpose of the represented operator."""
-        return MPO([c.conj().transpose(0, 2, 1, 3) for c in self.cores])
-
-
-@functools.lru_cache(maxsize=None)
-def _identity_bytes(d: int) -> bytes:
-    # cached: MPO.support tests up to n cores per gate, and building eye(d)
-    # each time costs about 15 times the byte comparison itself
-    return np.eye(d, dtype=np.complex128).tobytes()
-
-
-def _is_identity_core(core: np.ndarray) -> bool:
-    r, d, _, s = core.shape
-    return r == 1 and s == 1 and core.tobytes() == _identity_bytes(d)
+        lo, hi = self.span
+        window = self.cores[lo:hi + 1]
+        return MPO.embed([c.conj().transpose(0, 2, 1, 3) for c in window], lo, self.n)
 
 
 def apply_core(op_core: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -567,20 +568,17 @@ def move_center(cores: list, center: int, target: int) -> int:
 
 
 def apply_window(cores: list, center: int, op: MPO, policy: TruncationPolicy) -> int:
-    """Apply ``op`` to the mixed-canonical chain on its support only.
+    """Apply ``op`` to the mixed-canonical chain on its span only.
 
-    The center moves into the support ``[lo, hi]`` of ``op``, the operator
+    The center moves into the span ``[lo, hi]`` of ``op``, the operator
     cores are contracted there, and the window is re-canonicalized: lossless
     steps left to right up to ``hi + 1``, then truncating steps back down to
     ``lo - 1``.  Every bond from ``lo - 1|lo`` to ``hi|hi + 1`` is cut by
     ``policy`` against orthonormal environments, so its rank is the
     numerical Schmidt rank; bonds outside keep their ranks.  Returns the new
-    center (``max(lo - 1, 0)``, or ``center`` when ``op`` is the identity).
+    center, ``max(lo - 1, 0)``.
     """
-    support = op.support()
-    if support is None:
-        return center
-    lo, hi = support
+    lo, hi = op.span
     move_center(cores, center, min(max(center, lo), hi))
     for i in range(lo, hi + 1):
         cores[i] = apply_core(op.cores[i], cores[i])

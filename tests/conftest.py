@@ -1,5 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+
+# one profile for every property test: a fixed example sequence keeps the
+# suite deterministic, and no per-example deadline on a shared machine
+settings.register_profile("mpoq", derandomize=True, deadline=None)
+settings.load_profile("mpoq")
 
 
 @pytest.fixture

@@ -16,7 +16,7 @@ from mpoq import born_sampler as bs
 from mpoq import circuit_catalog as cat
 from mpoq import dense_oracle as oracle
 from mpoq import tensor_core as tc
-from mpoq.gate_library import HADAMARD, cphase_mpo, hadamard_layer, phase_shift_k
+from mpoq.gate_library import HADAMARD, controlled_mpo, hadamard_layer, phase_shift_k
 
 SHOR_RANK_4_BASES = (2, 7, 8, 13)
 SHOR_RANK_2_BASES = (4, 11, 14)
@@ -91,7 +91,7 @@ def test_criterion_2_closed_form_equivalence():
         for i in range(1, n + 1):
             group = hadamard_layer([i], n)
             for k in range(2, n - i + 2):
-                group = cphase_mpo(i + k - 1, i, n, k=k) @ group
+                group = controlled_mpo((i + k - 1,), phase_shift_k(k), i, n) @ group
             delta = cat.qft_group_mpo(i, n).to_dense() - group.to_dense()
             assert np.max(np.abs(delta)) <= 1e-12
 

@@ -17,12 +17,10 @@ from mpoq.gate_library import (
     IDENTITY,
     PAULI_X,
     GatePlacement,
-    cnot_mpo,
-    cphase_mpo,
+    controlled_mpo,
     hadamard_layer,
     phase_shift,
     phase_shift_k,
-    toffoli_mpo,
 )
 
 
@@ -66,7 +64,8 @@ def test_full_adder_worked_cases():
 
 def test_first_partial_product_matches_derivation():
     # CNOT(2|3) . CCNOT(2,3|4) compresses to the two-core middle form
-    product = tc.compress_mpo(cnot_mpo(2, 3, 4) @ toffoli_mpo(2, 3, 4, 4))
+    cnot = controlled_mpo((2,), PAULI_X, 3, 4)
+    product = tc.compress_mpo(cnot @ controlled_mpo((2, 3), PAULI_X, 4, 4))
     derived = tc.MPO([
         IDENTITY[None, :, :, None],
         np.stack([IDENTITY, CONTROL_1], axis=-1)[None],
@@ -207,7 +206,7 @@ def test_simon_hidden_string_recovery():
 def qft_group_gate_product(i, n):
     product = hadamard_layer([i], n)
     for k in range(2, n - i + 2):
-        product = cphase_mpo(i + k - 1, i, n, k=k) @ product
+        product = controlled_mpo((i + k - 1,), phase_shift_k(k), i, n) @ product
     return product
 
 
@@ -318,7 +317,7 @@ def gate_circuits(draw):
     return n, ops, initial
 
 
-@settings(derandomize=True, deadline=None, max_examples=60)
+@settings(max_examples=60)
 @given(gate_circuits())
 @example((6, [(0, 6, ()), (1, 1, (6,)), (0, 2, ()), (1, 4, (6, 2))], tc.basis_state_mps([0] * 6)))
 @example((7, [(0, 1, ()), (1, 7, (1,)), (2, 3, (7,)), (4, 5, (2, 6))], tc.random_mps(7, 3, seed=5)))
@@ -383,6 +382,29 @@ def test_windowed_executor_truncates_a_generic_input_like_full_sweeps(flagged, t
     assert run.rank_history == history == ((1, 2, 2, 2, 2, 2, 1),)
     assert_allclose(run.state.to_dense(), reference.to_dense(), atol=1e-12)
     assert run.state.right_orthonormal and tc.is_right_orthonormal(run.state)
+
+
+@pytest.mark.parametrize(
+    "sequence, spans",
+    [
+        (cat.inverse_qft_sequence(6), [(i - 1, 5) for i in range(6, 0, -1)]),
+        (cat.shor_sequence(7), [(0, 7), (0, 11)] + [(i - 1, 7) for i in range(1, 9)]),
+    ],
+    ids=["inverse-qft(6)", "shor(7)"],
+)
+def test_groups_stay_inside_their_span(sequence, spans):
+    # adjoint and conjugated groups keep the window they were built with, and
+    # applying a group replaces no state core more than one site outside it
+    assert [group.span for group in sequence.groups] == spans
+    n = sequence.n
+    cores = list(tc.orthonormalize_right(tc.random_mps(n, 4, seed=2), tc.LOSSLESS).cores)
+    center = 0
+    for group, (lo, hi) in zip(sequence.groups, spans):
+        center = tc.move_center(cores, center, lo)
+        before = list(cores)
+        center = tc.apply_window(cores, center, group, tc.DEFAULT_POLICY)
+        for i in [*range(lo - 1), *range(hi + 2, n)]:
+            assert cores[i] is before[i], (group.span, i)
 
 
 def test_sequence_layout_validation():

@@ -4,9 +4,14 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from mpoq import circuit_catalog as catalog
 from mpoq import cli
+from mpoq import dense_oracle as oracle
+from mpoq.born_sampler import MeasurementPlan, ZeroProbabilityError, sample
+from mpoq.gate_library import HADAMARD, single_qubit_gate
 from mpoq.tensor_core import MPO
 
 
@@ -54,8 +59,12 @@ def test_builtin_parsing_errors(tmp_path, capsys):
         ["simulate", "--builtin", "qfa", "--samples", "-1"],
         ["simulate", "--builtin", "qfa", "--postselect", "1=0", "--measure", "1-4"],
         ["bench", "qfa", "--repeats", "0"],
+        [
+            "simulate", "--builtin", "qfa-network(2)",
+            "--measure", "2-4", "--postselect", "1=0,1=1",
+        ],
     ],
-    ids=["measure-x", "negative-samples", "postselect-measured", "zero-repeats"],
+    ids=["measure-x", "negative-samples", "postselect-measured", "zero-repeats", "postselect-twice"],
 )
 def test_bad_command_line_exits_2(args, capsys):
     code, _, err = run_cli(args, capsys)
@@ -186,6 +195,87 @@ def test_zero_probability_postselect_exit_code(capsys):
     )
     assert code == cli.EXIT_ZERO_POSTSELECT
     assert "probability" in err
+
+
+#: JSON gate name -> (number of controls, base single-qubit gate)
+_JSON_GATES = {
+    "h": (0, "h"), "x": (0, "x"), "phase": (0, "phase"),
+    "cnot": (1, "x"), "cphase": (1, "rk"), "ccnot": (2, "x"),
+}
+
+
+@st.composite
+def postselected_json_circuits(draw):
+    """Random JSON payloads of at most 8 qubits plus a readout.
+
+    Returns ``(payload, postselect, measured)``: a non-empty postselection
+    and a non-empty measured set, disjoint from each other.  Controls land
+    on either side of the target.
+    """
+    n = draw(st.integers(2, 8))
+    ops = []
+    for _ in range(draw(st.integers(1, 10))):
+        gate = draw(st.sampled_from([g for g, (c, _) in _JSON_GATES.items() if c < n]))
+        target, *controls = draw(st.permutations(range(1, n + 1)))[: _JSON_GATES[gate][0] + 1]
+        op = {"gate": gate, "target": target}
+        if controls:
+            op["controls"] = controls
+        if gate == "phase":
+            op["phi"] = draw(st.floats(-4.0, 4.0))
+        if gate == "cphase":
+            op["k"] = draw(st.integers(1, 4))
+        ops.append(op)
+    initial = draw(st.one_of(
+        st.just("zeros"),
+        st.text("01", min_size=n, max_size=n).map(lambda bits: {"basis": bits}),
+        st.sets(st.integers(1, n)).map(lambda qs: {"hadamard_on": sorted(qs)}),
+    ))
+    order = draw(st.permutations(range(1, n + 1)))
+    cut = draw(st.integers(1, n - 1))
+    postselect = {p: draw(st.integers(0, 1)) for p in sorted(order[:cut])}
+    rest = order[cut:]
+    measured = sorted(draw(st.lists(st.sampled_from(rest), min_size=1, unique=True)))
+    return {"n": n, "initial": initial, "ops": ops}, postselect, measured
+
+
+def _dense_payload_state(payload) -> np.ndarray:
+    initial = payload["initial"] if isinstance(payload["initial"], dict) else {}
+    state = oracle.basis_state(int(c) for c in initial.get("basis", "0" * payload["n"]))
+    for q in initial.get("hadamard_on", ()):
+        state = oracle.apply_gate_dense(state, HADAMARD, target=q)
+    for op in payload["ops"]:
+        matrix = single_qubit_gate(_JSON_GATES[op["gate"]][1], phi=op.get("phi"), k=op.get("k"))
+        state = oracle.apply_gate_dense(state, matrix, op["target"], op.get("controls", ()))
+    return state
+
+
+@settings(max_examples=60)
+@given(postselected_json_circuits())
+def test_postselected_json_circuits_match_dense_oracle(case):
+    payload, postselect, measured = case
+    n = payload["n"]
+    dense = _dense_payload_state(payload).reshape((2,) * n)
+    conditioned = dense[tuple(postselect.get(q, slice(None)) for q in range(1, n + 1))]
+    mass = float(np.sum(np.abs(conditioned) ** 2))
+    # an outcome is either impossible or clearly possible; no cancellation
+    # close to the sampler's zero threshold
+    assume(mass < 1e-24 or mass > 1e-8)
+
+    circuit = cli.load_circuit_payload(payload, "random")
+    run = catalog.run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
+    plan = MeasurementPlan(measured=tuple(measured), sample_count=0, postselect=postselect)
+    if mass < 1e-24:
+        with pytest.raises(ZeroProbabilityError):
+            sample(run.state, plan)
+        return
+    report = sample(run.state, plan)
+
+    remaining = [q for q in range(1, n + 1) if q not in postselect]
+    local = [remaining.index(q) + 1 for q in measured]
+    probs = np.abs(conditioned.reshape(-1)) ** 2 / mass
+    want = oracle.marginal_dense(probs, local, len(remaining)).reshape(-1)
+    got = [report.probabilities.get(format(i, f"0{len(measured)}b"), 0.0) for i in range(want.size)]
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-10)
 
 
 def test_simon_simulation_support(capsys):

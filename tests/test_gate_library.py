@@ -56,13 +56,13 @@ def test_phase_gates_commute():
 
 def test_cnot_dense_matches_reference_matrix():
     expected = np.array([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex)
-    assert_allclose(gl.cnot_mpo(1, 2, 2).to_dense(), expected, atol=1e-15)
+    assert_allclose(gl.controlled_mpo((1,), gl.PAULI_X, 2, 2).to_dense(), expected, atol=1e-15)
 
 
 def test_toffoli_dense_matches_reference_matrix():
     expected = np.eye(8, dtype=complex)
     expected[[6, 7]] = expected[[7, 6]]
-    assert_allclose(gl.toffoli_mpo(1, 2, 3, 3).to_dense(), expected, atol=1e-15)
+    assert_allclose(gl.controlled_mpo((1, 2), gl.PAULI_X, 3, 3).to_dense(), expected, atol=1e-15)
 
 
 @pytest.mark.parametrize("controls,target,n", [
@@ -90,8 +90,8 @@ def test_cphase_control_target_symmetry():
             for q in range(1, n + 1):
                 if p == q:
                     continue
-                a = gl.cphase_mpo(p, q, n, k=2).to_dense()
-                b = gl.cphase_mpo(q, p, n, k=2).to_dense()
+                a = gl.controlled_mpo((p,), gl.phase_shift_k(2), q, n).to_dense()
+                b = gl.controlled_mpo((q,), gl.phase_shift_k(2), p, n).to_dense()
                 assert_allclose(a, b, atol=1e-14)
 
 
@@ -112,9 +112,9 @@ def test_constructors_are_unitary():
     builders = [
         gl.single_qubit_mpo(gl.HADAMARD, 3, 6),
         gl.single_qubit_mpo(gl.phase_shift(0.9), 1, 6),
-        gl.cnot_mpo(2, 5, 6),
-        gl.toffoli_mpo(1, 4, 6, 6),
-        gl.cphase_mpo(6, 2, 6, k=3),
+        gl.controlled_mpo((2,), gl.PAULI_X, 5, 6),
+        gl.controlled_mpo((1, 4), gl.PAULI_X, 6, 6),
+        gl.controlled_mpo((6,), gl.phase_shift_k(3), 2, 6),
         gl.hadamard_layer([2, 3, 6], 6),
     ]
     for mpo in builders:

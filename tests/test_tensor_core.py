@@ -5,7 +5,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mpoq import tensor_core as tc
-from mpoq.gate_library import CONTROL_1, IDENTITY, PAULI_X, cnot_mpo
+from mpoq.gate_library import CONTROL_1, IDENTITY, PAULI_X, controlled_mpo
 
 from conftest import kron_chain
 
@@ -133,7 +133,7 @@ def test_cnot_mpo_dense_matrix():
     expected = np.array(
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
-    assert_allclose(cnot_mpo(1, 2, 2).to_dense(), expected, atol=1e-15)
+    assert_allclose(controlled_mpo((1,), PAULI_X, 2, 2).to_dense(), expected, atol=1e-15)
 
 
 def test_identity_apply_is_noop():
@@ -176,6 +176,20 @@ def test_adjoint_and_conj():
     dense = op.to_dense()
     assert_allclose(op.adjoint().to_dense(), dense.conj().T, atol=1e-12)
     assert_allclose(op.conj().to_dense(), dense.conj(), atol=1e-12)
+
+
+def test_embed_records_its_span():
+    y = np.array([[0.0, -1j], [1j, 0.0]])[None, :, :, None]
+    op = tc.MPO.embed([y], 1, 3)
+    assert op.span == (1, 1) and tc.MPO([y, y]).span == (0, 1)
+    assert_allclose(op.to_dense(), kron_chain([IDENTITY, y[0, :, :, 0], IDENTITY]), atol=0)
+    # conj and adjoint keep the window; a product is a full-span operator
+    assert op.conj().span == op.adjoint().span == (1, 1)
+    assert_allclose(op.conj().to_dense(), op.to_dense().conj(), atol=0)
+    assert_allclose(op.adjoint().to_dense(), op.to_dense().conj().T, atol=0)
+    assert (op @ op).span == tc.mpo_add(op, op).span == (0, 2)
+    with pytest.raises(ValueError):
+        tc.MPO.embed([y, y], 2, 3)
 
 
 def test_mpo_add():
@@ -268,13 +282,13 @@ def test_max_rank_cap():
 
 def test_compress_mpo_finds_minimal_ranks():
     # product of two overlapping controlled gates has true rank 4 in the overlap
-    a = cnot_mpo(1, 4, 5)
-    b = cnot_mpo(2, 5, 5)
+    a = controlled_mpo((1,), PAULI_X, 4, 5)
+    b = controlled_mpo((2,), PAULI_X, 5, 5)
     product = a @ b
     rounded = tc.compress_mpo(product)
     assert_allclose(rounded.to_dense(), product.to_dense(), atol=1e-12)
     assert rounded.max_rank <= 4
-    identity_squared = cnot_mpo(1, 3, 3) @ cnot_mpo(1, 3, 3)
+    identity_squared = controlled_mpo((1,), PAULI_X, 3, 3) @ controlled_mpo((1,), PAULI_X, 3, 3)
     assert tc.compress_mpo(identity_squared).max_rank == 1
 
 
@@ -304,7 +318,7 @@ def test_transform_bond_rejects_singular():
 def test_factored_cnot_core_manipulation():
     # alternative two-core factorization of the controlled flip:
     # [I  C] x [I; X-I]  ==  [I-C  C] x [I; X]
-    cnot = cnot_mpo(1, 2, 2)
+    cnot = controlled_mpo((1,), PAULI_X, 2, 2)
     q = np.array([[1.0, 0.0], [-1.0, 1.0]])
     alt = tc.transform_bond(cnot, 0, q)
     assert_allclose(alt.to_dense(), cnot.to_dense(), atol=1e-14)

@@ -420,40 +420,34 @@ def multiplicative_order(a: int, modulus: int) -> int:
 
 
 def modular_exponentiation_mpo(a: int, modulus: int = SHOR_MODULUS) -> MPO:
-    """Operator mapping |x, 0> to |x, a^x mod modulus> on 3n qubits.
+    """Operator mapping |x, t> to |x, t XOR (a^x mod modulus)> on 3n qubits.
 
-    Built from the sum over input residues.  When the order of ``a`` is a
-    power of two the sum collapses to one projector pattern per residue
-    class of the trailing input bits (rank = order); otherwise the full
-    sum over inputs is accumulated and compressed blockwise.
+    ``a^x mod modulus`` depends only on ``x mod r`` (``r`` the order of
+    ``a``), so the chain is a residue automaton: its bonds carry the residue
+    of the input bits read so far, most significant first
+    (``s -> (2 s + b) mod r``), and each target core applies X where its bit
+    of ``a^j mod modulus`` is 1, diagonal in the residue ``j``.  One
+    rounding pass brings the bonds to their minimal ranks.
     """
     if not 1 < a < modulus:
         raise ValueError(f"base must satisfy 1 < a < {modulus}")
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"base {a} shares a factor with {modulus}")
     n_target = target_register_size(modulus)
-    n_input = 2 * n_target
     order = multiplicative_order(a, modulus)
-    if order & (order - 1) == 0:
-        bits = order.bit_length() - 1
-        terms = [
-            _uf_term(format(j, f"0{bits}b") if bits else "", pow(a, j, modulus), n_input, n_target)
-            for j in range(order)
-        ]
-        return compress_mpo(_rank_one_terms_mpo(terms))
-    # order not a power of two: residue classes are not bit patterns
-    result = None
-    block = []
-    for x in range(2 ** n_input):
-        block.append(_uf_term(format(x, f"0{n_input}b"), pow(a, x, modulus), n_input, n_target))
-        if len(block) == 64:
-            chunk = _rank_one_terms_mpo(block)
-            result = chunk if result is None else compress_mpo(mpo_add(result, chunk))
-            block = []
-    if block:
-        chunk = _rank_one_terms_mpo(block)
-        result = chunk if result is None else mpo_add(result, chunk)
-    return compress_mpo(result)
+    step = np.zeros((order, 2, 2, order), dtype=np.complex128)
+    for s in range(order):
+        for b in (0, 1):
+            step[s, b, b, (2 * s + b) % order] = 1
+    cores = [step[:1]] + [step] * (2 * n_target - 1)
+    powers = [format(pow(a, j, modulus), f"0{n_target}b") for j in range(order)]
+    for k in range(n_target):
+        core = np.zeros_like(step)
+        for j, bits in enumerate(powers):
+            core[j, :, :, j] = PAULI_X if bits[k] == "1" else IDENTITY
+        cores.append(core)
+    cores[-1] = cores[-1].sum(axis=3, keepdims=True)
+    return compress_mpo(MPO(cores))
 
 
 @dataclass(frozen=True)

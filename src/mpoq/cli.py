@@ -133,6 +133,7 @@ CIRCUIT_SCHEMA = {
 }
 
 _CONTROL_COUNTS = {"cnot": 1, "cphase": 1, "ccnot": 2}
+_GATE_PARAMETER = {"phase": "phi", "rk": "k", "cphase": "k"}
 
 
 @dataclass
@@ -186,6 +187,9 @@ def _gate_op_mpo(op, n: int) -> MPO:
     want = _CONTROL_COUNTS.get(name)
     if want is not None and len(controls) != want:
         raise CircuitSpecError(f"gate {name!r} needs exactly {want} control(s), got {len(controls)}")
+    extra = sorted(({"phi", "k"} & op.keys()) - {_GATE_PARAMETER.get(name)})
+    if extra:
+        raise CircuitSpecError(f"gate {name!r} takes no parameter {', '.join(extra)}")
     base = {"cnot": "x", "ccnot": "x", "cphase": "rk"}.get(name, name)
     try:
         matrix = single_qubit_gate(base, phi=op.get("phi"), k=op.get("k"))
@@ -609,7 +613,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--circuit", help="JSON circuit description file")
     sim.add_argument("--builtin", help="builtin circuit, e.g. simon, qft(10), shor(7)")
     sim.add_argument("--samples", type=_at_least(0), default=0, help="number of samples (0: exact only)")
-    sim.add_argument("--seed", type=int, default=0)
+    sim.add_argument("--seed", type=_at_least(0), default=0)
     sim.add_argument("--measure", help="positions, e.g. '1,3,5-8' or 'all'")
     sim.add_argument("--postselect", help="fixed bits, e.g. '2=0,4=1'")
     sim.add_argument("--out", help="output file path")
@@ -621,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--sizes", help="comma-separated sizes (adder count, qubits, or base)")
     bench.add_argument("--samples", type=_at_least(0), default=10_000)
     bench.add_argument("--repeats", type=_at_least(1), default=3)
-    bench.add_argument("--seed", type=int, default=0)
+    bench.add_argument("--seed", type=_at_least(0), default=0)
     bench.add_argument("--out", help="output CSV path")
     bench.set_defaults(func=cmd_bench)
 

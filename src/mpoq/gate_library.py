@@ -29,12 +29,11 @@ def phase_shift(phi: float) -> np.ndarray:
     return np.array([[1.0, 0.0], [0.0, np.exp(1j * phi)]], dtype=np.complex128)
 
 
-def phase_shift_k(k: int, *, inverse: bool = False) -> np.ndarray:
-    """Dyadic phase gate diag(1, e^{2 pi i / 2^k}); conjugated when inverse."""
+def phase_shift_k(k: int) -> np.ndarray:
+    """Dyadic phase gate diag(1, e^{2 pi i / 2^k})."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    sign = -1.0 if inverse else 1.0
-    return phase_shift(sign * 2.0 * np.pi / 2 ** k)
+    return phase_shift(2.0 * np.pi / 2 ** k)
 
 
 def single_qubit_gate(name: str, *, phi: float | None = None, k: int | None = None) -> np.ndarray:

@@ -185,7 +185,7 @@ def dense_shor_distribution(a):
         state = oracle.apply_gate_dense(state, HADAMARD, target=i)
         for k in range(2, 8 - i + 2):
             state = oracle.apply_gate_dense(
-                state, phase_shift_k(k, inverse=True), target=i, controls=(i + k - 1,)
+                state, phase_shift_k(k).conj(), target=i, controls=(i + k - 1,)
             )
     marginal = oracle.marginal_dense(oracle.born_distribution(state), range(1, 9), 12)
     flat = marginal.reshape(-1)

@@ -479,7 +479,7 @@ def test_uf_rejects_bad_bases():
 
 
 def test_uf_generic_non_power_of_two_order():
-    # order of 2 mod 9 is 6: exercises the accumulate-and-compress path
+    # order of 2 mod 9 is 6: residue classes of x are not bit patterns
     op = cat.modular_exponentiation_mpo(2, modulus=9)
     n_target = cat.target_register_size(9)
     assert n_target == 4
@@ -489,6 +489,39 @@ def test_uf_generic_non_power_of_two_order():
         got = op.apply(tc.basis_state_mps(bits + [0] * n_target)).to_dense()
         f_bits = [int(c) for c in format(pow(2, int(x), 9), f"0{n_target}b")]
         assert_allclose(got, oracle.basis_state(bits + f_bits), atol=1e-10)
+
+
+#: Minimal bond profiles of the oracle, pinned so that a change of
+#: construction cannot move them.
+UF_RANKS = {
+    (2, 15): (1, 1, 1, 1, 1, 1, 1, 2, 4, 4, 3, 2, 1),
+    (4, 15): (1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1),
+    (7, 15): (1, 1, 1, 1, 1, 1, 1, 2, 4, 4, 3, 2, 1),
+    (8, 15): (1, 1, 1, 1, 1, 1, 1, 2, 4, 4, 3, 2, 1),
+    (11, 15): (1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 1, 1),
+    (13, 15): (1, 1, 1, 1, 1, 1, 1, 2, 4, 4, 3, 2, 1),
+    (14, 15): (1, 1, 1, 1, 1, 1, 1, 1, 2, 2, 2, 2, 1),
+    (2, 9): (1, 2, 3, 3, 3, 3, 3, 3, 6, 6, 4, 2, 1),
+    (2, 21): (1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 6, 6, 5, 4, 2, 1),
+    (5, 21): (1, 2, 3, 3, 3, 3, 3, 3, 3, 3, 6, 4, 4, 2, 2, 1),
+    (2, 33): (1, 2, 4, 5, 5, 5, 5, 5, 5, 5, 5, 5, 10, 10, 8, 6, 4, 2, 1),
+}
+
+
+@pytest.mark.parametrize("a,modulus", list(UF_RANKS))
+def test_uf_xors_the_power_into_any_target(a, modulus):
+    op = cat.modular_exponentiation_mpo(a, modulus)
+    assert op.ranks == UF_RANKS[a, modulus]
+    n_target = cat.target_register_size(modulus)
+    n_input = 2 * n_target
+    rng = np.random.default_rng(modulus * 100 + a)
+    xs = rng.integers(0, 2 ** n_input, 4)
+    ts = rng.integers(1, 2 ** n_target, 4)
+    for x, t in [(int(x), int(t)) for x, t in zip(xs, ts)] + [(2 ** n_input - 1, 1)]:
+        bits = [int(c) for c in format(x, f"0{n_input}b") + format(t, f"0{n_target}b")]
+        got = op.apply(tc.basis_state_mps(bits)).to_dense()
+        out = format(x, f"0{n_input}b") + format(t ^ pow(a, x, modulus), f"0{n_target}b")
+        assert_allclose(got, oracle.basis_state([int(c) for c in out]), atol=1e-10)
 
 
 @pytest.mark.parametrize(

@@ -38,12 +38,17 @@ def test_builtin_parsing_errors(tmp_path, capsys):
         for text in ("qfa-network(0)", "qfa(3)", "simon(9)", "qft(0)", "inverse-qft(0)")
     ]
     bad_args.append(["bench", "qfa-network"])
-    for n, op in (
+    for i, (n, op) in enumerate((
         (4, {"builtin": "qft", "params": {"n": 9}}),
         (4, {"builtin": "qfa-network", "params": {"count": "x"}}),
         (12, {"builtin": "shor", "params": {"a": 7}}),
-    ):
-        path = tmp_path / f"{op['builtin']}.json"
+        (2, {"gate": "h", "target": 1, "phi": 0.3}),
+        (2, {"gate": "cphase", "target": 1, "controls": [2], "k": 2, "phi": 9.0}),
+        (2, {"gate": "rk", "target": 1, "k": 2, "phi": 0.1}),
+        (2, {"gate": "phase", "target": 1, "phi": 0.3, "k": 2}),
+        (2, {"gate": "cnot", "target": 1, "controls": [2], "k": 1}),
+    )):
+        path = tmp_path / f"op{i}.json"
         path.write_text(json.dumps({"n": n, "ops": [op]}))
         bad_args.append(["simulate", "--circuit", str(path)])
     for args in bad_args:
@@ -63,8 +68,13 @@ def test_builtin_parsing_errors(tmp_path, capsys):
             "simulate", "--builtin", "qfa-network(2)",
             "--measure", "2-4", "--postselect", "1=0,1=1",
         ],
+        ["simulate", "--builtin", "qfa-network(2)", "--samples", "10", "--seed", "-1"],
+        ["bench", "qft", "--sizes", "4", "--seed", "-1"],
     ],
-    ids=["measure-x", "negative-samples", "postselect-measured", "zero-repeats", "postselect-twice"],
+    ids=[
+        "measure-x", "negative-samples", "postselect-measured", "zero-repeats",
+        "postselect-twice", "simulate-negative-seed", "bench-negative-seed",
+    ],
 )
 def test_bad_command_line_exits_2(args, capsys):
     code, _, err = run_cli(args, capsys)

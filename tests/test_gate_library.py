@@ -24,7 +24,6 @@ def test_gate_matrix_properties():
     assert_allclose(gl.CONTROL_0 + gl.CONTROL_1, np.eye(2), atol=1e-15)
     rk = gl.phase_shift_k(3)
     assert_allclose(rk, np.diag([1.0, np.exp(2j * np.pi / 8)]), atol=1e-15)
-    assert_allclose(gl.phase_shift_k(3, inverse=True), rk.conj(), atol=1e-15)
     assert_allclose(gl.phase_shift(0.7), np.diag([1.0, np.exp(0.7j)]), atol=1e-15)
 
 

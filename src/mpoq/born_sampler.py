@@ -8,15 +8,19 @@ suffix of a right-orthonormal chain contributes only identity
 environments.  The qubit-wise cost is cubic in the bond rank, so the
 per-sample work is linear in the register size at bounded rank.
 
+Every left environment ``E`` is Hermitian, so the draw carries it as the
+real vector ``v = Re E + Im E`` and every per-sample update is a real
+matrix product.  Outcome keys are built for a whole chunk at once, and
+the CSV report is written in one pass over the sorted keys.
+
 Qubit positions are 1-based; reported bitstrings list the measured
 positions in ascending order, most significant qubit first.
 """
 
 from __future__ import annotations
 
-import csv
-import io
 import json
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Mapping
@@ -93,9 +97,11 @@ class SampleReport:
 
     ``counts`` maps measured bitstrings to occurrence counts (summing to
     ``sample_count``); ``probabilities`` holds the exact marginal on its
-    support when the dense path was used.  The elapsed time is informational
-    and deliberately kept out of the serialized forms, which are byte-stable
-    for a fixed plan and state.
+    support when the dense path was used.  ``clamped_mass`` is the largest
+    probability mass that one drawn conditional lost when its negative
+    rounding noise was set to zero.  The elapsed time and the clamped mass
+    are informational and deliberately kept out of the serialized forms,
+    which are byte-stable for a fixed plan and state.
     """
 
     n: int
@@ -105,37 +111,26 @@ class SampleReport:
     counts: dict[str, int]
     probabilities: dict[str, float] | None
     elapsed_seconds: float
+    clamped_mass: float = 0.0
 
     def frequencies(self) -> dict[str, float]:
         if self.sample_count == 0:
             return {k: 0.0 for k in self.counts}
         return {k: v / self.sample_count for k, v in self.counts.items()}
 
-    def _rows(self):
-        keys = set(self.counts)
-        if self.probabilities is not None:
-            keys |= set(self.probabilities)
-        freq = self.frequencies()
-        for key in sorted(keys):
-            row = {
-                "bitstring": key,
-                "count": self.counts.get(key, 0),
-                "frequency": freq.get(key, 0.0),
-            }
-            if self.probabilities is not None:
-                row["probability"] = self.probabilities.get(key, 0.0)
-            yield row
-
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        fields = ["bitstring", "count", "frequency"]
-        if self.probabilities is not None:
-            fields.append("probability")
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(fields)
-        for row in self._rows():
-            writer.writerow([repr(row[f]) if isinstance(row[f], float) else row[f] for f in fields])
-        return buf.getvalue()
+        """One line per sorted outcome; floats are written with ``repr``."""
+        counts, probs, total = self.counts, self.probabilities, self.sample_count
+        if probs is None:
+            keys, lines = counts.keys(), ["bitstring,count,frequency"]
+        else:
+            keys, lines = counts.keys() | probs.keys(), ["bitstring,count,frequency,probability"]
+        for key in sorted(keys):
+            count = counts.get(key, 0)
+            frequency = count / total if total else 0.0
+            line = f"{key},{count},{frequency!r}"
+            lines.append(line if probs is None else f"{line},{probs.get(key, 0.0)!r}")
+        return "\n".join(lines) + "\n"
 
     def to_json_dict(self) -> dict:
         return {
@@ -181,6 +176,19 @@ def _transfer(core: np.ndarray, bit: int | None = None) -> np.ndarray:
         return _transfer(core, 0) + _transfer(core, 1)
     sl = core[:, bit, :]
     return np.kron(sl.conj(), sl)
+
+
+def _real_form(x: np.ndarray) -> np.ndarray:
+    """``x`` acting on the real coordinates ``v = Re E + Im E`` of environments.
+
+    ``x`` maps flattened ``(r, r)`` left environments, as ``_transfer`` (or
+    a product of them) does, and keeps them Hermitian.  Then the real
+    coordinates of ``E.reshape(-1) @ x`` are ``v @ _real_form(x)``, and
+    ``E[k, K] = (v[kK] + v[Kk]) / 2 + i (v[kK] - v[Kk]) / 2``.
+    """
+    r = math.isqrt(x.shape[0])
+    swapped = x.reshape(r, r, -1).transpose(1, 0, 2).reshape(x.shape)
+    return x.real + swapped.imag
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +278,8 @@ def postselect(state: MPS, assignment: Mapping[int, int], eps_zero: float = EPS_
 def _prepare(state: MPS) -> MPS:
     if not state.right_orthonormal:
         state = orthonormalize_right(state, LOSSLESS)
-    norm = state.norm()
+    # behind a right-orthonormal suffix the whole norm sits in the first core
+    norm = float(np.linalg.norm(state.cores[0]))
     if norm == 0.0:
         raise ZeroProbabilityError("cannot sample the zero state")
     if abs(norm - 1.0) > 1e-12:
@@ -278,13 +287,13 @@ def _prepare(state: MPS) -> MPS:
     return state
 
 
-def _draw_batches(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
-    """Qubit-wise batched sampling; yields (packed rows, counts) per chunk.
+def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
+    """Qubit-wise batched sampling; returns (counts per key, clamped mass).
 
-    All per-sample work is expressed on flattened environments so every
-    update is one dense matrix product over the whole batch; the
-    marginalization transfer to the next measured site is fused into the
-    per-bit update matrices.
+    All per-sample work is expressed on flattened environments in real
+    coordinates (:func:`_real_form`), so every update is one real matrix
+    product over the whole chunk; the marginalization transfer to the next
+    measured site is fused into the per-bit update matrices.
     """
     cores = state.cores
     m = len(measured_idx)
@@ -293,6 +302,7 @@ def _draw_batches(state: MPS, measured_idx: list[int], sample_count: int, seed: 
     env0 = np.ones(1, dtype=np.complex128)
     for i in range(measured_idx[0]):
         env0 = env0 @ _transfer(cores[i])
+    env0 = env0.real + env0.imag
 
     site_weights = []  # (r*r, 2) probability forms per measured site
     site_updates = []  # per-bit update matrices, gap transfer included
@@ -300,14 +310,15 @@ def _draw_batches(state: MPS, measured_idx: list[int], sample_count: int, seed: 
         updates = [_transfer(cores[i], bit) for bit in (0, 1)]
         # a right-orthonormal suffix contributes the identity environment
         suffix = np.eye(cores[i].shape[2], dtype=np.complex128).reshape(-1)
-        site_weights.append(np.stack([u @ suffix for u in updates], axis=1))
+        site_weights.append(_real_form(np.stack([u @ suffix for u in updates], axis=1)))
         gap = None
         if k + 1 < m:
             for j in range(i + 1, measured_idx[k + 1]):
                 step = _transfer(cores[j])
                 gap = step if gap is None else gap @ step
-        site_updates.append(updates if gap is None else [u @ gap for u in updates])
+        site_updates.append([_real_form(u if gap is None else u @ gap) for u in updates])
 
+    counts: dict[str, int] = {}
     mass_lost = 0.0
     remaining = sample_count
     while remaining > 0:
@@ -316,31 +327,35 @@ def _draw_batches(state: MPS, measured_idx: list[int], sample_count: int, seed: 
         env = np.broadcast_to(env0, (chunk, env0.size)).copy()
         bits = np.empty((chunk, m), dtype=np.uint8)
         for k in range(m):
-            p = (env @ site_weights[k]).real
-            if np.any(p < NEGATIVE_TOL):
-                raise NegativeProbabilityError(
-                    f"conditional entry {p.min():.3e} below tolerance at site {measured_idx[k] + 1}"
-                )
-            lost = -np.minimum(p, 0.0).sum(axis=1)
-            mass_lost = max(mass_lost, float(lost.max(initial=0.0)))
-            if mass_lost > MASS_LOSS_TOL:
-                raise NegativeProbabilityError(f"clamped probability mass {mass_lost:.3e} too large")
-            p = np.clip(p, 0.0, None)
-            total = p.sum(axis=1)
+            p = env @ site_weights[k]
+            low = p.min()
+            if low < 0.0:  # rounding noise: clamp it, and fail beyond the tolerances
+                if low < NEGATIVE_TOL:
+                    raise NegativeProbabilityError(
+                        f"conditional entry {low:.3e} below tolerance at site {measured_idx[k] + 1}"
+                    )
+                mass_lost = max(mass_lost, float(-np.minimum(p, 0.0).sum(axis=1).min()))
+                if mass_lost > MASS_LOSS_TOL:
+                    raise NegativeProbabilityError(f"clamped probability mass {mass_lost:.3e} too large")
+                p = np.clip(p, 0.0, None)
+            total = p[:, 0] + p[:, 1]
             p0 = np.divide(p[:, 0], total, out=np.full(chunk, 0.5), where=total > 0)
             chosen = uniforms[:, k] >= p0
             bits[:, k] = chosen
             if k + 1 == m:
                 break
-            branch0 = env @ site_updates[k][0]
-            branch1 = env @ site_updates[k][1]
-            env = np.where(chosen[:, None], branch1, branch0)
+            env, branch1 = env @ site_updates[k][0], env @ site_updates[k][1]
+            np.copyto(env, branch1, where=chosen[:, None])
             p_chosen = np.where(chosen, p[:, 1], p[:, 0]) / np.where(total > 0, total, 1.0)
             env /= np.where(p_chosen > 0, p_chosen, 1.0)[:, None]
-        packed = np.packbits(bits, axis=1)
-        rows, counts = np.unique(packed, axis=0, return_counts=True)
-        yield rows, counts
+        del uniforms  # the chunk's largest array: free it before the keys exist
+        bits += 48  # each row of ASCII digits is one m-byte key; unique sorts them
+        keys, key_counts = np.unique(bits.view(f"S{m}")[:, 0], return_counts=True)
+        for key, c in zip(keys.tolist(), key_counts.tolist()):
+            key = key.decode()
+            counts[key] = counts.get(key, 0) + c
         remaining -= chunk
+    return counts, mass_lost
 
 
 def sample(state: MPS, plan: MeasurementPlan) -> SampleReport:
@@ -381,12 +396,10 @@ def sample(state: MPS, plan: MeasurementPlan) -> SampleReport:
         }
 
     counts: dict[str, int] = {}
+    clamped_mass = 0.0
     if plan.sample_count > 0:
         measured_idx = [p - 1 for p in working_measured]
-        for rows, row_counts in _draw_batches(working, measured_idx, plan.sample_count, plan.seed):
-            for row, c in zip(rows, row_counts):
-                key = "".join(map(str, np.unpackbits(row, count=m)))
-                counts[key] = counts.get(key, 0) + int(c)
+        counts, clamped_mass = _draw(working, measured_idx, plan.sample_count, plan.seed)
 
     return SampleReport(
         n=n,
@@ -396,4 +409,5 @@ def sample(state: MPS, plan: MeasurementPlan) -> SampleReport:
         counts=counts,
         probabilities=probabilities,
         elapsed_seconds=time.perf_counter() - start,
+        clamped_mass=clamped_mass,
     )

@@ -19,7 +19,7 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import jsonschema
 import numpy as np
@@ -360,16 +360,12 @@ def cmd_simulate(args) -> int:
     shor_rows = None
     if circuit.shor_base is not None and measured == circuit.default_measure:
         # reversed reading happens here so outputs are the phase estimates
-        report = SampleReport(
-            n=report.n,
-            sample_count=report.sample_count,
-            seed=report.seed,
-            measured=report.measured,
+        report = replace(
+            report,
             counts=_reverse_keys(report.counts),
             probabilities=None
             if report.probabilities is None
             else _reverse_keys(report.probabilities),
-            elapsed_seconds=report.elapsed_seconds,
         )
         support = report.probabilities if report.probabilities else report.frequencies()
         shor_rows = [
@@ -412,6 +408,8 @@ def _print_summary(circuit: LoadedCircuit, run, report: SampleReport, shor_rows)
         f"measured {list(report.measured)} with s={report.sample_count}, "
         f"seed={report.seed} ({report.elapsed_seconds:.3f} s)"
     )
+    if report.clamped_mass > 0:
+        print(f"clamped probability mass {report.clamped_mass:.3e} (negative rounding noise set to 0)")
     rows = sorted(
         report.counts.items() if report.counts else (report.probabilities or {}).items(),
         key=lambda kv: -kv[1],

@@ -189,6 +189,24 @@ def test_environment_matrix_equals_explicit_network():
     assert np.max(np.abs(env - explicit)) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_real_form_matches_complex_transfer(seed):
+    # the draw carries a Hermitian environment E as v = Re E + Im E and maps
+    # it with _real_form(X) in place of the complex X
+    rng = np.random.default_rng(seed)
+    for r in range(1, 5):
+        for s in range(1, 5):
+            core = rng.normal(size=(r, 2, s)) + 1j * rng.normal(size=(r, 2, s))
+            a = rng.normal(size=(r, r)) + 1j * rng.normal(size=(r, r))
+            env = a + a.conj().T
+            v = env.real + env.imag
+            assert np.max(np.abs((v + v.T) / 2 + 1j * (v - v.T) / 2 - env)) <= 1e-12
+            for bit in (0, 1, None):
+                moved = env.reshape(-1) @ bs._transfer(core, bit)
+                got = v.reshape(-1) @ bs._real_form(bs._transfer(core, bit))
+                assert np.max(np.abs(got - (moved.real + moved.imag))) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -323,6 +341,28 @@ def test_report_csv_and_json_shape():
     assert set(payload["counts"]) == {"00", "11"}
     assert payload["probabilities"]["00"] == pytest.approx(0.5)
     assert "elapsed" not in json.dumps(payload)  # byte-stable serialization
+
+
+def test_clamped_mass_is_reported_outside_the_serialized_report(monkeypatch):
+    state = bs._prepare(tc.named_state_mps("ghz", 2))
+    plan = bs.MeasurementPlan(measured=(1, 2), sample_count=1000)
+    assert bs.sample(state, plan).clamped_mass == 0.0
+    # rounding noise on outcome 1 of qubit 2: after a first 0 its conditional
+    # is (1, -3e-13); after a first 1 it is (0, 1 - 3e-13) and nothing is clamped
+    transfer = bs._transfer
+
+    def noisy_transfer(core, bit=None):
+        noisy = bit == 1 and core is state.cores[1]
+        return transfer(core, bit) - 3e-13 if noisy else transfer(core, bit)
+
+    monkeypatch.setattr(bs, "_transfer", noisy_transfer)
+    report = bs.sample(state, plan)
+    assert set(report.counts) == {"00", "11"}
+    assert report.clamped_mass == pytest.approx(3e-13, rel=1e-9, abs=0.0)
+    assert set(report.to_json_dict()) == {
+        "format", "n", "sample_count", "seed", "measured", "counts", "frequencies", "probabilities"
+    }
+    assert "clamped" not in report.to_csv_text() + report.to_json_text()
 
 
 def test_report_without_probabilities():

@@ -1,6 +1,9 @@
 """End-to-end tests of the command-line interface."""
 
+import hashlib
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -184,6 +187,75 @@ def test_simulate_outputs_are_byte_stable(tmp_path, capsys):
         assert code == 0
         paths.append(out_path.read_bytes())
     assert paths[0] == paths[1]
+
+
+EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+# sha256 of `simulate --out`, recorded with the complex-coordinate sampler at
+# 1 BLAS thread.  The draw, the keys and the CSV must not move a byte; a
+# different BLAS build could still move a last probability digit.
+GOLDEN_OUTPUTS = {
+    "qfa-network-csv": (
+        ["--builtin", "qfa-network(10)", "--samples", "5000", "--seed", "11"],
+        "678d1690fe7420e1882cb6d973f494c4a5e3a286b87db0a871f99c135f804709",
+    ),
+    "qfa-network-json": (
+        ["--builtin", "qfa-network(10)", "--samples", "5000", "--seed", "11", "--format", "json"],
+        "1de66ce14bbbd47c39ed8cef8a34a68aa35a6a61118b9c827eafd2c2a91058db",
+    ),
+    "qft": (
+        ["--builtin", "qft(6)", "--samples", "5000", "--seed", "11"],
+        "557dbc9155e79cff30ad5c58d502fc495c55489b88c0ba904212cc4dd3611a61",
+    ),
+    "postselected": (
+        ["--builtin", "qfa-network(3)", "--measure", "2-6", "--postselect", "1=0,7=1",
+         "--samples", "5000", "--seed", "11"],
+        "c3b947bb772c5f09474d59b71d09dfadc43c3a13d5ecd57df99dd6cd34b756e7",
+    ),
+    "simon-exact": (
+        ["--builtin", "simon", "--samples", "0"],
+        "26dddabd56111ba903ad29ce99184105a25b46630783aa3d39e3799465bca2a4",
+    ),
+    "above-one-chunk": (  # 70,000 samples span two chunks of born_sampler._CHUNK
+        ["--builtin", "qfa-network(10)", "--samples", "70000", "--seed", "11"],
+        "56ed04c373a0512a2308a2b0d15e0b5382461cda7ad193ce8ef821cb4737cfbb",
+    ),
+    # the only case whose environments have an imaginary part at rank > 1
+    "complex-phases": (
+        ["--circuit", str(EXAMPLES / "custom.json"), "--samples", "5000", "--seed", "11"],
+        "5e1e41494420be4e06d3a291cfa80f4106588685267a85a0b96708af36a6ce06",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_OUTPUTS))
+def test_simulate_output_bytes_are_pinned(name, tmp_path, capsys):
+    args, digest = GOLDEN_OUTPUTS[name]
+    out_path = tmp_path / "out"
+    code, _, _ = run_cli(["simulate", *args, "--out", str(out_path)], capsys)
+    assert code == 0
+    assert hashlib.sha256(out_path.read_bytes()).hexdigest() == digest
+
+
+def test_clamped_mass_gets_a_summary_line(tmp_path, monkeypatch, capsys):
+    code, out, _ = run_cli(["simulate", "--builtin", "qfa", "--samples", "100"], capsys)
+    assert code == 0
+    assert "clamped" not in out
+
+    def noisy_sample(state, plan):
+        return replace(sample(state, plan), clamped_mass=3e-13)
+
+    # shor re-keys its report; the clamped mass must survive that
+    monkeypatch.setattr(cli, "sample", noisy_sample)
+    out_path = tmp_path / "shor.json"
+    code, out, _ = run_cli(
+        ["simulate", "--builtin", "shor(7)", "--samples", "200", "--format", "json",
+         "--out", str(out_path)],
+        capsys,
+    )
+    assert code == 0
+    assert "clamped probability mass 3.000e-13" in out
+    assert "clamped" not in out_path.read_text()
 
 
 def test_simulate_measure_and_postselect(tmp_path, capsys):

@@ -41,9 +41,6 @@ EPS_ZERO = 1e-14
 #: Conditional entries below this are hard numerical errors, not noise.
 NEGATIVE_TOL = -1e-12
 
-#: Total clamped-away probability mass allowed before failing.
-MASS_LOSS_TOL = 1e-8
-
 #: Auto-include exact probabilities in reports up to this many outcomes.
 _AUTO_PROB_OUTCOMES = 4096
 
@@ -329,14 +326,12 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
         for k in range(m):
             p = env @ site_weights[k]
             low = p.min()
-            if low < 0.0:  # rounding noise: clamp it, and fail beyond the tolerances
+            if low < 0.0:  # rounding noise: clamp it, and fail below NEGATIVE_TOL
                 if low < NEGATIVE_TOL:
                     raise NegativeProbabilityError(
                         f"conditional entry {low:.3e} below tolerance at site {measured_idx[k] + 1}"
                     )
                 mass_lost = max(mass_lost, float(-np.minimum(p, 0.0).sum(axis=1).min()))
-                if mass_lost > MASS_LOSS_TOL:
-                    raise NegativeProbabilityError(f"clamped probability mass {mass_lost:.3e} too large")
                 p = np.clip(p, 0.0, None)
             total = p[:, 0] + p[:, 1]
             p0 = np.divide(p[:, 0], total, out=np.full(chunk, 0.5), where=total > 0)

@@ -1,10 +1,10 @@
 """Command-line front end: simulate circuits, benchmark, verify golden values.
 
-Circuits come either from a JSON description (schema below) or from the
-builtin registry ``circuit_catalog.BUILTINS``: ``qfa``, ``qfa-network(count)``,
-``simon``, ``qft(n)``, ``inverse-qft(n)``, ``shor(a)``.  Measurement output is
-written as CSV or JSON and is byte-stable for a fixed circuit, seed and
-package version.
+Circuits come either from a JSON description (``load_circuit_payload``) or
+from the builtin registry ``circuit_catalog.BUILTINS``: ``qfa``,
+``qfa-network(count)``, ``simon``, ``qft(n)``, ``inverse-qft(n)``, ``shor(a)``.
+Measurement output is written as CSV or JSON and is byte-stable for a fixed
+circuit, seed and package version.
 
 Exit codes: 0 success, 2 malformed circuit description or command line
 (including an exact output above the dense cap), 3 numerical failure,
@@ -14,14 +14,15 @@ Exit codes: 0 success, 2 malformed circuit description or command line
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import math
 import re
 import statistics
 import sys
 import time
 from dataclasses import dataclass, replace
 
-import jsonschema
 import numpy as np
 
 from . import __version__, circuit_catalog as catalog, dense_oracle
@@ -54,86 +55,16 @@ class CircuitSpecError(ValueError):
     """Malformed circuit description or CLI arguments (exit code 2)."""
 
 
-CIRCUIT_SCHEMA = {
-    "type": "object",
-    "required": ["n", "ops"],
-    "additionalProperties": False,
-    "properties": {
-        "n": {"type": "integer", "minimum": 1},
-        "initial": {
-            "oneOf": [
-                {"const": "zeros"},
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"basis": {"type": "string", "pattern": "^[01]+$"}},
-                    "required": ["basis"],
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {"named": {"type": "string"}},
-                    "required": ["named"],
-                },
-                {
-                    "type": "object",
-                    "additionalProperties": False,
-                    "properties": {
-                        "hadamard_on": {
-                            "type": "array",
-                            "items": {"type": "integer", "minimum": 1},
-                        }
-                    },
-                    "required": ["hadamard_on"],
-                },
-            ]
-        },
-        "ops": {
-            "type": "array",
-            "items": {
-                "oneOf": [
-                    {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["gate", "target"],
-                        "properties": {
-                            "gate": {
-                                "enum": ["h", "x", "phase", "rk", "cnot", "cphase", "ccnot"]
-                            },
-                            "target": {"type": "integer", "minimum": 1},
-                            "controls": {
-                                "type": "array",
-                                "items": {"type": "integer", "minimum": 1},
-                            },
-                            "phi": {"type": "number"},
-                            "k": {"type": "integer", "minimum": 1},
-                        },
-                    },
-                    {
-                        "type": "object",
-                        "additionalProperties": False,
-                        "required": ["builtin"],
-                        "properties": {
-                            "builtin": {"type": "string"},
-                            "params": {"type": "object"},
-                        },
-                    },
-                ]
-            },
-        },
-        "policy": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "rel_threshold": {"type": "number", "minimum": 0},
-                "max_rank": {"type": ["integer", "null"], "minimum": 1},
-            },
-        },
-    },
+#: JSON gate name -> (single-qubit gate, control count or None for any, parameter)
+_GATES = {
+    "h": ("h", None, None),
+    "x": ("x", None, None),
+    "phase": ("phase", None, "phi"),
+    "rk": ("rk", None, "k"),
+    "cnot": ("x", 1, None),
+    "cphase": ("rk", 1, "k"),
+    "ccnot": ("x", 2, None),
 }
-
-_CONTROL_COUNTS = {"cnot": 1, "cphase": 1, "ccnot": 2}
-_GATE_PARAMETER = {"phase": "phi", "rk": "k", "cphase": "k"}
 
 
 @dataclass
@@ -153,93 +84,150 @@ class LoadedCircuit:
 # circuit loading
 
 
-def _policy_from_payload(payload) -> TruncationPolicy:
-    policy = payload.get("policy") or {}
+def _invalid(path: str, what: str) -> CircuitSpecError:
+    return CircuitSpecError(f"circuit description invalid: {path}: {what}")
+
+
+@contextlib.contextmanager
+def _reported_at(path: str):
+    """Report a ``ValueError`` from the library as invalid input at ``path``."""
+    try:
+        yield
+    except ValueError as exc:
+        raise _invalid(path, str(exc)) from exc
+
+
+def _got(value) -> str:
+    text = json.dumps(value, default=repr)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _fields(value, path: str, required=(), optional=()) -> dict:
+    """``value``, checked to be a JSON object with every ``required`` key and no
+    key outside ``required`` and ``optional``."""
+    if not isinstance(value, dict):
+        raise _invalid(path or "top level", f"must be an object, got {_got(value)}")
+    for key in (*required, *value):
+        if (key in value) != (key in required or key in optional):
+            what = "missing" if key in required else "unexpected field"
+            raise _invalid(f"{path}.{key}" if path else key, what)
+    return value
+
+
+def _integer(value, path: str, low: int, high: int | None = None) -> int:
+    """A JSON integer in ``[low, high]``; ``true`` and ``3.0`` are not integers."""
+    if type(value) is not int or value < low or (high is not None and value > high):
+        bound = f">= {low}" if high is None else f"in [{low}, {high}]"
+        raise _invalid(path, f"must be an integer {bound}, got {_got(value)}")
+    return value
+
+
+def _number(value, path: str, low: float = -math.inf) -> float:
+    """A finite JSON number of at least ``low``; NaN and infinities are not."""
+    if type(value) not in (int, float) or not (low <= value and abs(value) <= sys.float_info.max):
+        bound = "" if low == -math.inf else f" >= {low}"
+        raise _invalid(path, f"must be a finite number{bound}, got {_got(value)}")
+    return value
+
+
+def _positions(value, path: str, n: int) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise _invalid(path, f"must be a list of qubit positions, got {_got(value)}")
+    return tuple(_integer(p, f"{path}[{i}]", 1, n) for i, p in enumerate(value))
+
+
+def _policy(policy) -> TruncationPolicy:
+    _fields(policy, "policy", optional=("rel_threshold", "max_rank"))
+    rel_threshold = policy.get("rel_threshold", DEFAULT_POLICY.rel_threshold)
+    max_rank = policy.get("max_rank")
     return TruncationPolicy(
-        rel_threshold=policy.get("rel_threshold", DEFAULT_POLICY.rel_threshold),
-        max_rank=policy.get("max_rank"),
+        rel_threshold=_number(rel_threshold, "policy.rel_threshold", 0),
+        max_rank=None if max_rank is None else _integer(max_rank, "policy.max_rank", 1),
     )
 
 
-def _initial_state(payload, n: int) -> MPS:
-    choice = payload.get("initial", "zeros")
+def _initial_state(choice, n: int) -> MPS:
     if choice == "zeros":
         return basis_state_mps([0] * n)
-    if "basis" in choice:
-        bits = [int(c) for c in choice["basis"]]
-        if len(bits) != n:
-            raise CircuitSpecError(f"basis string length {len(bits)} != n={n}")
-        return basis_state_mps(bits)
-    if "named" in choice:
-        try:
-            return named_state_mps(choice["named"], n)
-        except ValueError as exc:
-            raise CircuitSpecError(str(exc)) from exc
-    positions = choice["hadamard_on"]
-    if any(p > n for p in positions):
-        raise CircuitSpecError(f"hadamard_on positions {positions} outside register")
-    return hadamard_layer(positions, n).apply(basis_state_mps([0] * n))
+    if not isinstance(choice, dict) or len(choice) != 1:
+        raise _invalid("initial", f'must be "zeros" or an object with one key, got {_got(choice)}')
+    ((kind, value),) = choice.items()
+    path = f"initial.{kind}"
+    if kind == "basis":
+        if not (isinstance(value, str) and len(value) == n and set(value) <= {"0", "1"}):
+            raise _invalid(path, f"must be a string of {n} binary digits, got {_got(value)}")
+        return basis_state_mps([int(c) for c in value])
+    if kind == "named":
+        if not isinstance(value, str):
+            raise _invalid(path, f"must be a string, got {_got(value)}")
+        with _reported_at(path):
+            return named_state_mps(value, n)
+    if kind == "hadamard_on":
+        positions = _positions(value, path, n)
+        with _reported_at(path):
+            return hadamard_layer(positions, n).apply(basis_state_mps([0] * n))
+    raise _invalid(path, "unexpected field")
 
 
-def _gate_op_mpo(op, n: int) -> MPO:
+def _gate_op_mpo(op, path: str, n: int) -> MPO:
     name = op["gate"]
-    controls = tuple(op.get("controls", ()))
-    want = _CONTROL_COUNTS.get(name)
-    if want is not None and len(controls) != want:
-        raise CircuitSpecError(f"gate {name!r} needs exactly {want} control(s), got {len(controls)}")
-    extra = sorted(({"phi", "k"} & op.keys()) - {_GATE_PARAMETER.get(name)})
-    if extra:
-        raise CircuitSpecError(f"gate {name!r} takes no parameter {', '.join(extra)}")
-    base = {"cnot": "x", "ccnot": "x", "cphase": "rk"}.get(name, name)
-    try:
-        matrix = single_qubit_gate(base, phi=op.get("phi"), k=op.get("k"))
-        placement = GatePlacement(matrix, target=op["target"], controls=controls, name=name)
-        return placement.to_mpo(n)
-    except ValueError as exc:
-        raise CircuitSpecError(str(exc)) from exc
+    if not isinstance(name, str) or name not in _GATES:
+        raise _invalid(f"{path}.gate", f"must be one of {', '.join(_GATES)}, got {_got(name)}")
+    base, count, parameter = _GATES[name]
+    required = ("gate", "target") if parameter is None else ("gate", "target", parameter)
+    _fields(op, path, required, ("controls",))
+    target = _integer(op["target"], f"{path}.target", 1, n)
+    controls = _positions(op.get("controls", []), f"{path}.controls", n)
+    if count is not None and len(controls) != count:
+        raise _invalid(f"{path}.controls", f"gate {name!r} takes exactly {count}, got {len(controls)}")
+    phi = _number(op["phi"], f"{path}.phi") if parameter == "phi" else None
+    k = _integer(op["k"], f"{path}.k", 1) if parameter == "k" else None
+    with _reported_at(path):
+        return GatePlacement(single_qubit_gate(base, phi=phi, k=k), target, controls, name).to_mpo(n)
 
 
-def _build_builtin(name: str, arg):
-    try:
-        return catalog.build_builtin(name, arg)
-    except ValueError as exc:
-        raise CircuitSpecError(str(exc)) from exc
-
-
-def _builtin_groups(name: str, params, n: int) -> tuple[MPO, ...]:
-    if name == "shor":
-        raise CircuitSpecError("builtin shor reads its output reversed; use --builtin shor(a)")
-    entry = catalog.BUILTINS.get(name)
-    params = dict(params)
-    arg = params.pop(entry.arg, None) if entry and entry.arg else None
-    sequence, _, _ = _build_builtin(name, arg)
-    if params:
-        raise CircuitSpecError(f"builtin {name} has no parameter {', '.join(params)}")
+def _builtin_groups(op, path: str, n: int) -> tuple[MPO, ...]:
+    name = _fields(op, path, ("builtin",), ("params",))["builtin"]
+    entry = catalog.BUILTINS.get(name) if isinstance(name, str) else None
+    if entry is None or name == "shor":  # shor's reversed readout needs --builtin shor(a)
+        known = ", ".join(b for b in catalog.BUILTINS if b != "shor")
+        raise _invalid(f"{path}.builtin", f"must be one of {known}, got {_got(name)}")
+    params = _fields(op.get("params", {}), f"{path}.params", optional=(entry.arg,))
+    with _reported_at(f"{path}.params"):
+        sequence, _, _ = catalog.build_builtin(name, params.get(entry.arg))
     if sequence.n != n:
-        raise CircuitSpecError(f"builtin {sequence.label} acts on {sequence.n} qubits, not n={n}")
+        raise _invalid(path, f"builtin {sequence.label} acts on {sequence.n} qubits, not n={n}")
     return sequence.groups
 
 
 def load_circuit_payload(payload, label: str) -> LoadedCircuit:
-    """Validate a parsed JSON circuit description and build its sequence."""
-    try:
-        jsonschema.validate(payload, CIRCUIT_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise CircuitSpecError(f"circuit description invalid: {exc.message}") from exc
-    n = payload["n"]
+    """Validate a parsed JSON circuit description and build its sequence.
+
+    Each field is checked once, as the circuit is built; the first bad one
+    raises :class:`CircuitSpecError` naming its path, e.g. ``ops[3].target``.
+    """
+    _fields(payload, "", ("n", "ops"), ("initial", "policy"))
+    n = _integer(payload["n"], "n", 1)
+    policy = _policy(payload.get("policy", {}))
+    initial = _initial_state(payload.get("initial", "zeros"), n)
+    if not isinstance(payload["ops"], list):
+        raise _invalid("ops", f"must be a list, got {_got(payload['ops'])}")
     groups: list[MPO] = []
-    for op in payload["ops"]:
-        if "gate" in op:
-            groups.append(_gate_op_mpo(op, n))
+    for i, op in enumerate(payload["ops"]):
+        path = f"ops[{i}]"
+        if not isinstance(op, dict) or not {"gate", "builtin"} & op.keys():
+            raise _invalid(path, f"must be a gate or builtin object, got {_got(op)}")
+        if "builtin" in op:
+            groups.extend(_builtin_groups(op, path, n))
         else:
-            groups.extend(_builtin_groups(op["builtin"], op.get("params", {}), n))
+            groups.append(_gate_op_mpo(op, path, n))
     sequence = catalog.GateGroupSequence(groups=tuple(groups), label=label)
     return LoadedCircuit(
         label=label,
         n=n,
-        initial=_initial_state(payload, n),
+        initial=initial,
         sequence=sequence,
-        policy=_policy_from_payload(payload),
+        policy=policy,
         default_measure=tuple(range(1, n + 1)),
     )
 
@@ -254,7 +242,10 @@ def load_builtin(text: str) -> LoadedCircuit:
         raise CircuitSpecError(f"cannot parse builtin {text!r}")
     name, arg = match.group(1), match.group(2)
     arg = int(arg) if arg is not None else None
-    sequence, initial, readout = _build_builtin(name, arg)
+    try:
+        sequence, initial, readout = catalog.build_builtin(name, arg)
+    except ValueError as exc:
+        raise CircuitSpecError(str(exc)) from exc
     return LoadedCircuit(
         label=sequence.label,
         n=sequence.n,

@@ -8,6 +8,7 @@ the register.  Qubit positions are 1-based everywhere in this module.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,11 +34,12 @@ def phase_shift_k(k: int) -> np.ndarray:
     """Dyadic phase gate diag(1, e^{2 pi i / 2^k})."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    return phase_shift(2.0 * np.pi / 2 ** k)
+    # ldexp, not / 2 ** k: a large k underflows to the identity instead of overflowing
+    return phase_shift(math.ldexp(2.0 * np.pi, -k))
 
 
 def single_qubit_gate(name: str, *, phi: float | None = None, k: int | None = None) -> np.ndarray:
-    """Resolve a gate name from the circuit schema to its 2x2 matrix."""
+    """Resolve a single-qubit gate name (h, x, phase, rk) to its 2x2 matrix."""
     key = name.strip().lower()
     if key == "h":
         return HADAMARD
@@ -128,8 +130,9 @@ def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
 
 def hadamard_layer(positions, n: int) -> MPO:
     """Rank-1 operator with Hadamards at ``positions``, identity elsewhere."""
+    positions = tuple(positions)
+    _check_positions(positions, n)
     positions = set(positions)
-    _check_positions(sorted(positions), n)
     lo, hi = (min(positions), max(positions)) if positions else (1, 1)
     mats = [HADAMARD if q in positions else IDENTITY for q in range(lo, hi + 1)]
     return MPO.embed([m[None, :, :, None] for m in mats], lo - 1, n)

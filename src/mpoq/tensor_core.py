@@ -58,10 +58,10 @@ class TruncationPolicy:
     max_rank: int | None = None
 
     def __post_init__(self) -> None:
-        if self.rel_threshold < 0:
-            raise ValueError("rel_threshold must be >= 0")
-        if self.max_rank is not None and self.max_rank < 1:
-            raise ValueError("max_rank must be >= 1")
+        if not self.rel_threshold >= 0:
+            raise ValueError(f"rel_threshold must be >= 0, got {self.rel_threshold!r}")
+        if self.max_rank is not None and (type(self.max_rank) is not int or self.max_rank < 1):
+            raise ValueError(f"max_rank must be an integer >= 1 or None, got {self.max_rank!r}")
 
     def keep_count(self, singular_values: np.ndarray) -> int:
         smax = singular_values[0] if singular_values.size else 0.0

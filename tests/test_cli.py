@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -101,6 +105,130 @@ def test_schema_rejects_malformed_circuit(tmp_path, capsys):
     bad.write_text("not json at all")
     code, _, _ = run_cli(["simulate", "--circuit", str(bad)], capsys)
     assert code == cli.EXIT_SCHEMA
+
+
+def _gate(name, target, **fields):
+    return {"gate": name, "target": target, **fields}
+
+
+NAN, INF = float("nan"), float("inf")
+PLUS = {"initial": {"hadamard_on": [1]}}
+BELL = {**PLUS, "ops": [_gate("cnot", 2, controls=[1])]}
+
+#: id -> (payload, path the error must name)
+MALFORMED = {
+    # rules the JSON schema enforced
+    "missing-n": ({"ops": []}, "n"),
+    "missing-ops": ({"n": 2}, "ops"),
+    "missing-target": ({"n": 2, "ops": [{"gate": "h"}]}, "ops[0].target"),
+    "unknown-top-key": ({"n": 2, "ops": [], "extra": 1}, "extra"),
+    "unknown-op-key": ({"n": 2, "ops": [_gate("h", 1, angle=1)]}, "ops[0].angle"),
+    "unknown-initial-key": ({"n": 2, "ops": [], "initial": {"ones": "11"}}, "initial.ones"),
+    "unknown-policy-key": ({"n": 2, "ops": [], "policy": {"cutoff": 1}}, "policy.cutoff"),
+    "n-zero": ({"n": 0, "ops": []}, "n"),
+    "n-bool": ({"n": True, "ops": []}, "n"),
+    "ops-not-list": ({"n": 2, "ops": {}}, "ops"),
+    "op-not-object": ({"n": 2, "ops": [1]}, "ops[0]"),
+    "unknown-gate": ({"n": 2, "ops": [_gate("y", 1)]}, "ops[0].gate"),
+    "control-zero": ({"n": 2, "ops": [_gate("cnot", 1, controls=[0])]}, "ops[0].controls[0]"),
+    "controls-not-list": ({"n": 2, "ops": [_gate("cnot", 1, controls=2)]}, "ops[0].controls"),
+    "phi-string": ({"n": 1, "ops": [_gate("phase", 1, phi="x")]}, "ops[0].phi"),
+    "k-zero": ({"n": 1, "ops": [_gate("rk", 1, k=0)]}, "ops[0].k"),
+    "builtin-not-string": ({"n": 4, "ops": [{"builtin": 5}]}, "ops[0].builtin"),
+    "params-not-object": ({"n": 4, "ops": [{"builtin": "qfa", "params": []}]}, "ops[0].params"),
+    "basis-digits": ({"n": 3, "ops": [], "initial": {"basis": "012"}}, "initial.basis"),
+    "named-not-string": ({"n": 2, "ops": [], "initial": {"named": 5}}, "initial.named"),
+    "initial-string": ({"n": 2, "ops": [], "initial": "ones"}, "initial"),
+    "initial-two-keys": (
+        {"n": 2, "ops": [], "initial": {"basis": "00", "named": "ghz"}}, "initial"
+    ),
+    "negative-threshold": (
+        {"n": 2, "ops": [], "policy": {"rel_threshold": -1}}, "policy.rel_threshold"
+    ),
+    "max-rank-zero": ({"n": 2, "ops": [], "policy": {"max_rank": 0}}, "policy.max_rank"),
+    # rules the schema let through
+    "n-float": ({"n": 3.0, "ops": []}, "n"),
+    "target-float": ({"n": 3, "ops": [_gate("h", 2.0)]}, "ops[0].target"),
+    "k-float": ({"n": 1, "ops": [_gate("rk", 1, k=2.0)]}, "ops[0].k"),
+    "hadamard-float": (
+        {"n": 2, "ops": [], "initial": {"hadamard_on": [1.0]}}, "initial.hadamard_on[0]"
+    ),
+    "hadamard-twice": (
+        {"n": 2, "ops": [], "initial": {"hadamard_on": [1, 1]}}, "initial.hadamard_on"
+    ),
+    "max-rank-float": (  # a rank-4 middle bond, so the cap is used
+        {
+            "n": 4,
+            "initial": {"hadamard_on": [1, 2]},
+            "ops": [_gate("cnot", 3, controls=[1]), _gate("cnot", 4, controls=[2])],
+            "policy": {"max_rank": 2.0},
+        },
+        "policy.max_rank",
+    ),
+    "threshold-nan": ({"n": 2, **BELL, "policy": {"rel_threshold": NAN}}, "policy.rel_threshold"),
+    "phi-nan": ({"n": 2, **PLUS, "ops": [_gate("phase", 1, phi=NAN)]}, "ops[0].phi"),
+    "phi-infinity": ({"n": 2, **PLUS, "ops": [_gate("phase", 1, phi=INF)]}, "ops[0].phi"),
+}
+
+
+@pytest.mark.parametrize("name", list(MALFORMED))
+def test_malformed_circuit_fields_exit_2(name, tmp_path, capsys):
+    payload, field_path = MALFORMED[name]
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps(payload))
+    code, out, err = run_cli(["simulate", "--circuit", str(path)], capsys)
+    assert code == cli.EXIT_SCHEMA, out
+    assert err.startswith(f"error: circuit description invalid: {field_path}: "), err
+    assert err.count("\n") == 1, err
+
+
+def test_payloads_the_schema_accepted_still_run(tmp_path, capsys):
+    controlled = [
+        _gate("h", 1, controls=[2]),
+        _gate("x", 2, controls=[1, 3]),
+        _gate("phase", 3, phi=0.5, controls=[1]),
+        _gate("rk", 1, k=3, controls=[3]),
+    ]
+    payloads = {
+        "integer-phi": {"n": 1, "ops": [_gate("h", 1), _gate("phase", 1, phi=1)]},
+        "float-phi": {"n": 1, "ops": [_gate("h", 1), _gate("phase", 1, phi=1.0)]},
+        "zero-threshold": {"n": 2, **BELL, "policy": {"rel_threshold": 0}},
+        "null-max-rank": {"n": 2, **BELL, "policy": {"max_rank": None}},
+        "empty-policy": {"n": 2, **BELL, "policy": {}},
+        "no-ops": {"n": 2, "ops": []},
+        "controlled-gates": {"n": 3, "initial": {"hadamard_on": [1, 2, 3]}, "ops": controlled},
+        "k-beyond-float-range": {"n": 1, "ops": [_gate("rk", 1, k=1100)]},
+    }
+    outputs = {}
+    for name, payload in payloads.items():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(payload))
+        out_path = tmp_path / f"{name}.csv"
+        code, _, err = run_cli(["simulate", "--circuit", str(path), "--out", str(out_path)], capsys)
+        assert code == 0, (name, err)
+        outputs[name] = out_path.read_bytes()
+    assert outputs["integer-phi"] == outputs["float-phi"]
+
+
+def test_cli_needs_no_jsonschema():
+    root = Path(__file__).resolve().parent.parent
+    script = (
+        "import sys\n"
+        "sys.modules['jsonschema'] = None  # any import of it now fails\n"
+        "from mpoq import cli\n"
+        f"sys.exit(cli.main(['simulate', '--circuit', {str(root / 'docs/examples/custom.json')!r}]))\n"
+    )
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    block = re.search(r"^dependencies = \[(.*?)\]", (root / "pyproject.toml").read_text(), re.M | re.S)
+    assert re.findall(r'"([^"]+)"', block.group(1)) == ["numpy>=1.24"]
 
 
 def test_custom_circuit_bell_state(tmp_path, capsys):

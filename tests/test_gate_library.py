@@ -107,6 +107,12 @@ def test_hadamard_layer():
     assert_allclose(gl.hadamard_layer([], 3).to_dense(), np.eye(8), atol=1e-15)
 
 
+def test_hadamard_layer_rejects_repeated_positions():
+    # two Hadamards on one qubit are the identity, not one Hadamard
+    with pytest.raises(ValueError):
+        gl.hadamard_layer([1, 1], 2)
+
+
 def test_constructors_are_unitary():
     builders = [
         gl.single_qubit_mpo(gl.HADAMARD, 3, 6),

@@ -280,6 +280,16 @@ def test_max_rank_cap():
     assert capped.max_rank <= 3
 
 
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"rel_threshold": float("nan")}, {"max_rank": 2.0}, {"max_rank": True}],
+    ids=["nan-threshold", "float-max-rank", "bool-max-rank"],
+)
+def test_truncation_policy_rejects_nan_and_non_integer_rank(kwargs):
+    with pytest.raises(ValueError):
+        tc.TruncationPolicy(**kwargs)
+
+
 def test_compress_mpo_finds_minimal_ranks():
     # product of two overlapping controlled gates has true rank 4 in the overlap
     a = controlled_mpo((1,), PAULI_X, 4, 5)

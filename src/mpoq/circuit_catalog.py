@@ -296,8 +296,7 @@ class GateGroupSequence:
     register_layout: Mapping[str, tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
-        dims = {g.dims for g in self.groups}
-        if len(dims) > 1:
+        if len({g.n for g in self.groups}) > 1:
             raise ValueError("all groups must share the register size")
         if self.register_layout and self.groups:
             n = self.groups[0].n
@@ -345,7 +344,7 @@ def run_gate_sequence(
     if not sequence.groups:
         return RunResult(state=initial, rank_history=())
     # the sequence guarantees that all its groups share one register
-    if sequence.groups[0].dims != initial.dims:
+    if sequence.n != initial.n:
         raise ValueError("group register size does not match the state")
     cores = list(orthonormalize_right(orthonormalize_left(initial, LOSSLESS), policy).cores)
     center = 0
@@ -526,7 +525,7 @@ def shor_sequence(a: int, modulus: int = SHOR_MODULUS) -> GateGroupSequence:
     # conjugated = inverse transform up to the qubit reversal read off later;
     # group i acts on input qubits i..n_input
     groups += [
-        MPO.embed(qft_group_mpo(i, n_input).conj().cores[i - 1:], i - 1, total)
+        MPO.embed(qft_group_mpo(i, n_input).conj().cores, i - 1, total)
         for i in range(1, n_input + 1)
     ]
     return GateGroupSequence(

@@ -50,6 +50,10 @@ EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
 EXIT_ZERO_POSTSELECT = 4
 
+#: Largest register a JSON circuit may declare; the input state alone is
+#: one core per qubit, so an unbounded ``n`` could exhaust memory.
+MAX_QUBITS = 100_000
+
 
 class CircuitSpecError(ValueError):
     """Malformed circuit description or CLI arguments (exit code 2)."""
@@ -193,8 +197,12 @@ def _builtin_groups(op, path: str, n: int) -> tuple[MPO, ...]:
         known = ", ".join(b for b in catalog.BUILTINS if b != "shor")
         raise _invalid(f"{path}.builtin", f"must be one of {known}, got {_got(name)}")
     params = _fields(op.get("params", {}), f"{path}.params", optional=(entry.arg,))
+    arg = params.get(entry.arg)
+    # every embeddable builtin acts on at least as many qubits as its argument
+    if type(arg) is int and arg > n:
+        raise _invalid(f"{path}.params.{entry.arg}", f"builtin {name}({arg}) needs more than n={n} qubits")
     with _reported_at(f"{path}.params"):
-        sequence, _, _ = catalog.build_builtin(name, params.get(entry.arg))
+        sequence, _, _ = catalog.build_builtin(name, arg)
     if sequence.n != n:
         raise _invalid(path, f"builtin {sequence.label} acts on {sequence.n} qubits, not n={n}")
     return sequence.groups
@@ -207,7 +215,7 @@ def load_circuit_payload(payload, label: str) -> LoadedCircuit:
     raises :class:`CircuitSpecError` naming its path, e.g. ``ops[3].target``.
     """
     _fields(payload, "", ("n", "ops"), ("initial", "policy"))
-    n = _integer(payload["n"], "n", 1)
+    n = _integer(payload["n"], "n", 1, MAX_QUBITS)
     policy = _policy(payload.get("policy", {}))
     initial = _initial_state(payload.get("initial", "zeros"), n)
     if not isinstance(payload["ops"], list):

@@ -11,10 +11,13 @@ exception: they replace entries of a caller-owned list of state cores in
 place, so an executor can keep one chain in mixed-canonical form across
 many operators.
 
-An operator records the sites it acts on as ``MPO.span``.  Whoever builds
-a gate or gate group knows that window and lifts it with ``MPO.embed``,
-the one place that pads with identity cores; ``apply_window`` works on
-the recorded span only.
+An operator stores only the cores of the sites it acts on, its window
+``MPO.span``, plus the register size ``MPO.n``; it is the identity on every
+other site.  Whoever builds a gate or gate group knows that window and
+lifts it with ``MPO.embed``, so a gate costs its window, not the register.
+``apply_window`` works on the window alone; the operations that need the
+whole register (products, sums, dense reconstruction, rounding) take it
+from ``MPO.padded``, the one place that writes identity cores.
 
 Bond indices use one fixed lumping convention throughout (first index
 varies fastest, i.e. Fortran-order reshapes), which keeps the SVD sweeps
@@ -178,13 +181,16 @@ class MPO:
     """Matrix product operator: a chain of order-4 complex cores.
 
     Core ``i`` has shape ``(R_{i-1}, d_i, d_i, R_i)`` with the output
-    (row) physical index before the input (column) one.  ``span = (lo, hi)``
-    (0-based, inclusive) holds the cores the operator acts on; every core
-    outside it is the rank-1 identity.  ``MPO(cores)`` spans the whole
-    register; :meth:`embed` records a narrower span.
+    (row) physical index before the input (column) one.  An operator on an
+    ``n``-site register stores only the cores of its window
+    ``span = (lo, hi)`` (0-based, inclusive), ``cores[i - lo]`` for site
+    ``i``; it is the identity on every site outside the window.
+    ``MPO(cores)`` spans the whole register; :meth:`embed` records a
+    narrower window, and :meth:`padded` writes out all ``n`` cores for the
+    operations that need the whole register.
     """
 
-    __slots__ = ("cores", "span")
+    __slots__ = ("cores", "span", "n")
 
     def __init__(self, cores) -> None:
         cores = [_freeze(c) for c in cores]
@@ -202,19 +208,19 @@ class MPO:
                 raise ValueError(f"bond mismatch between cores {i - 1} and {i}")
         self.cores = tuple(cores)
         self.span = (0, len(cores) - 1)
+        self.n = len(cores)
 
     @classmethod
     def embed(cls, cores, start: int, n: int) -> "MPO":
         """Operator acting as ``cores`` on sites ``start, start + 1, ...``
         (0-based) of an ``n``-site register and as the identity elsewhere;
-        its span is the sites of ``cores``."""
+        only the window is stored, and its span is the sites of ``cores``."""
         cores = list(cores)
         hi = start + len(cores) - 1
         if start < 0 or hi >= n:
             raise ValueError(f"window {start}..{hi} outside a register of {n} sites")
-        eye = np.eye(cores[0].shape[1], dtype=np.complex128)[None, :, :, None]
-        op = cls([eye] * start + cores + [eye] * (n - 1 - hi))
-        op.span = (start, hi)
+        op = cls(cores)
+        op.span, op.n = (start, hi), n
         return op
 
     @classmethod
@@ -222,17 +228,19 @@ class MPO:
         eye = np.eye(d, dtype=np.complex128)[None, :, :, None]
         return cls([eye] * n)
 
-    @property
-    def n(self) -> int:
-        return len(self.cores)
+    def padded(self) -> tuple[np.ndarray, ...]:
+        """All ``n`` cores: the window with rank-1 identity cores around it."""
+        lo, hi = self.span
+        eye = _freeze(np.eye(self.cores[0].shape[1])[None, :, :, None])
+        return (eye,) * lo + self.cores + (eye,) * (self.n - 1 - hi)
 
     @property
     def dims(self) -> tuple[int, ...]:
-        return tuple(c.shape[1] for c in self.cores)
+        return tuple(c.shape[1] for c in self.padded())
 
     @property
     def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(c.shape[3] for c in self.cores)
+        return (1,) + tuple(c.shape[3] for c in self.padded())
 
     @property
     def max_rank(self) -> int:
@@ -243,8 +251,9 @@ class MPO:
         size = int(np.prod(self.dims, dtype=np.int64))
         if size * size > dense_cap():
             raise DenseCapExceeded(f"dense operator of size {size}^2 exceeds cap {dense_cap()}")
-        acc = self.cores[0]
-        for core in self.cores[1:]:
+        cores = self.padded()
+        acc = cores[0]
+        for core in cores[1:]:
             acc = np.einsum("aijb,bklc->aikjlc", acc, core, optimize=True)
             s = acc.shape
             acc = acc.reshape(s[0], s[1] * s[2], s[3] * s[4], s[5])
@@ -254,7 +263,7 @@ class MPO:
         """Operator-state product; output ranks are the exact products."""
         if self.dims != state.dims:
             raise ValueError(f"dimension mismatch: {self.dims} vs {state.dims}")
-        return MPS([apply_core(g, t) for g, t in zip(self.cores, state.cores)])
+        return MPS([apply_core(g, t) for g, t in zip(self.padded(), state.cores)])
 
     def __matmul__(self, other):
         if isinstance(other, MPS):
@@ -263,18 +272,16 @@ class MPO:
             return NotImplemented
         if self.dims != other.dims:
             raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
-        return MPO([apply_core(g, h) for g, h in zip(self.cores, other.cores)])
+        return MPO([apply_core(g, h) for g, h in zip(self.padded(), other.padded())])
 
     def conj(self) -> "MPO":
         """Elementwise complex conjugate of the represented operator."""
-        lo, hi = self.span
-        return MPO.embed([c.conj() for c in self.cores[lo:hi + 1]], lo, self.n)
+        return MPO.embed([c.conj() for c in self.cores], self.span[0], self.n)
 
     def adjoint(self) -> "MPO":
         """Conjugate transpose of the represented operator."""
-        lo, hi = self.span
-        window = self.cores[lo:hi + 1]
-        return MPO.embed([c.conj().transpose(0, 2, 1, 3) for c in window], lo, self.n)
+        window = [c.conj().transpose(0, 2, 1, 3) for c in self.cores]
+        return MPO.embed(window, self.span[0], self.n)
 
 
 def apply_core(op_core: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -433,7 +440,7 @@ def is_right_orthonormal(state: MPS, tol: float = ORTH_TOL) -> bool:
 
 def _mpo_as_mps(op: MPO) -> MPS:
     cores = []
-    for c in op.cores:
+    for c in op.padded():
         r, d, _, s = c.shape
         cores.append(c.reshape(r, d * d, s))
     return MPS(cores)
@@ -487,7 +494,7 @@ def transform_bond(value, i: int, q: np.ndarray):
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("paired bond transform needs a square matrix")
     q_inv = np.linalg.inv(q)
-    cores = list(value.cores)
+    cores = list(value.padded() if isinstance(value, MPO) else value.cores)
     if i + 1 >= len(cores):
         raise IndexError("bond index out of range")
     cores[i] = _right_multiplied(cores[i], q)
@@ -501,7 +508,7 @@ def mpo_add(left: MPO, right: MPO) -> MPO:
         raise ValueError(f"dimension mismatch: {left.dims} vs {right.dims}")
     n = left.n
     cores = []
-    for i, (a, b) in enumerate(zip(left.cores, right.cores)):
+    for i, (a, b) in enumerate(zip(left.padded(), right.padded())):
         ra, d, _, sa = a.shape
         rb, _, _, sb = b.shape
         if n == 1:
@@ -581,7 +588,7 @@ def apply_window(cores: list, center: int, op: MPO, policy: TruncationPolicy) ->
     lo, hi = op.span
     move_center(cores, center, min(max(center, lo), hi))
     for i in range(lo, hi + 1):
-        cores[i] = apply_core(op.cores[i], cores[i])
+        cores[i] = apply_core(op.cores[i - lo], cores[i])
     right = move_center(cores, lo, min(hi + 1, len(cores) - 1))
     left = max(lo - 1, 0)
     for i in range(right, left, -1):

@@ -168,6 +168,8 @@ MALFORMED = {
     "threshold-nan": ({"n": 2, **BELL, "policy": {"rel_threshold": NAN}}, "policy.rel_threshold"),
     "phi-nan": ({"n": 2, **PLUS, "ops": [_gate("phase", 1, phi=NAN)]}, "ops[0].phi"),
     "phi-infinity": ({"n": 2, **PLUS, "ops": [_gate("phase", 1, phi=INF)]}, "ops[0].phi"),
+    # a register too large to allocate
+    "n-above-cap": ({"n": 10**9, "ops": []}, "n"),
 }
 
 
@@ -179,6 +181,19 @@ def test_malformed_circuit_fields_exit_2(name, tmp_path, capsys):
     code, out, err = run_cli(["simulate", "--circuit", str(path)], capsys)
     assert code == cli.EXIT_SCHEMA, out
     assert err.startswith(f"error: circuit description invalid: {field_path}: "), err
+    assert err.count("\n") == 1, err
+
+
+def test_oversized_embedded_builtin_is_rejected_before_it_is_built(tmp_path, monkeypatch, capsys):
+    def build_builtin(name, arg=None):
+        raise AssertionError(f"built {name}({arg})")
+
+    monkeypatch.setattr(catalog, "build_builtin", build_builtin)
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"n": 4, "ops": [{"builtin": "qft", "params": {"n": 100000}}]}))
+    code, _, err = run_cli(["simulate", "--circuit", str(path)], capsys)
+    assert code == cli.EXIT_SCHEMA
+    assert err.startswith("error: circuit description invalid: ops[0].params.n: "), err
     assert err.count("\n") == 1, err
 
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from mpoq import cli
 from mpoq import gate_library as gl
 
 from conftest import kron_chain
@@ -132,3 +133,14 @@ def test_placement_to_mpo():
     assert_allclose(placement.to_mpo(3).to_dense(), dense_controlled(3, (1,), 3, gl.PAULI_X), atol=1e-14)
     with pytest.raises(ValueError):
         gl.GatePlacement(gl.PAULI_X, target=1, controls=(1,))
+
+
+def test_gate_lifts_store_their_window_only():
+    gate = gl.GatePlacement(gl.PAULI_X, target=7, controls=(3,)).to_mpo(10)
+    assert gate.span == (2, 6) and len(gate.cores) == 5 and gate.n == 10
+    # a gate-by-gate GHZ chain: 1 + 2 * 199 cores, not 200 per gate
+    n = 200
+    ops = [{"gate": "h", "target": 1}]
+    ops += [{"gate": "cnot", "controls": [i], "target": i + 1} for i in range(1, n)]
+    circuit = cli.load_circuit_payload({"n": n, "ops": ops}, label="ghz")
+    assert sum(len(group.cores) for group in circuit.sequence.groups) <= 500

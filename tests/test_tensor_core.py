@@ -1,5 +1,10 @@
 """Unit tests for the chain containers and their algebra."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -190,6 +195,77 @@ def test_embed_records_its_span():
     assert (op @ op).span == tc.mpo_add(op, op).span == (0, 2)
     with pytest.raises(ValueError):
         tc.MPO.embed([y, y], 2, 3)
+
+
+def test_embed_stores_only_its_window():
+    # a lift must not pad: writing out this register would take gigabytes, so
+    # the check runs in a child allowed 1 GiB of address space beyond what it
+    # has mapped after the imports, where padding fails with MemoryError
+    script = """
+import re, resource
+import numpy as np
+from mpoq import tensor_core as tc
+mapped = int(re.search(r"VmSize:\\s+(\\d+) kB", open("/proc/self/status").read()).group(1))
+hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+limit = mapped * 1024 + 2**30
+if hard != resource.RLIM_INFINITY:
+    limit = min(limit, hard)
+resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
+y = np.array([[0.0, -1j], [1j, 0.0]])[None, :, :, None]
+n = 10**9
+op = tc.MPO.embed([y], n - 1, n)
+for lifted in (op, op.conj(), op.adjoint()):
+    assert lifted.n == n and lifted.span == (n - 1, n - 1) and len(lifted.cores) == 1
+"""
+    root = Path(__file__).resolve().parent.parent
+    pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env={**os.environ, "PYTHONPATH": pythonpath, "OPENBLAS_NUM_THREADS": "1"},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def _random_window(rng, n):
+    lo = int(rng.integers(0, n))
+    hi = int(rng.integers(lo, n))
+    ranks = [1] + [int(r) for r in rng.integers(1, 4, hi - lo)] + [1]
+    cores = [
+        rng.standard_normal((ranks[i], 2, 2, ranks[i + 1]))
+        + 1j * rng.standard_normal((ranks[i], 2, 2, ranks[i + 1]))
+        for i in range(hi - lo + 1)
+    ]
+    return tc.MPO.embed(cores, lo, n)
+
+
+def _dense_reference(op):
+    """``kron(I, window, I)`` with the window contracted on its own."""
+    lo, hi = op.span
+    window = tc.MPO(op.cores).to_dense()
+    return kron_chain([np.eye(2 ** lo), window, np.eye(2 ** (op.n - 1 - hi))])
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_window_operators_match_their_kron_reference(seed):
+    rng = np.random.default_rng(seed)
+    n = 5
+    a, b = _random_window(rng, n), _random_window(rng, n)
+    dense_a, dense_b = _dense_reference(a), _dense_reference(b)
+    assert_allclose(a.to_dense(), dense_a, atol=1e-12)
+    state = tc.random_mps(n, 2, seed=seed)
+    assert_allclose(a.apply(state).to_dense(), dense_a @ state.to_dense(), atol=1e-10)
+    assert_allclose((a @ b).to_dense(), dense_a @ dense_b, atol=1e-10)
+    assert_allclose(tc.mpo_add(a, b).to_dense(), dense_a + dense_b, atol=1e-10)
+    assert_allclose(tc.compress_mpo(a).to_dense(), dense_a, atol=1e-10)
+    assert_allclose(a.conj().to_dense(), dense_a.conj(), atol=1e-12)
+    assert_allclose(a.adjoint().to_dense(), dense_a.conj().T, atol=1e-12)
+    bond = int(rng.integers(0, n - 1))
+    r = a.ranks[bond + 1]
+    q = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) + 2 * np.eye(r)
+    assert_allclose(tc.transform_bond(a, bond, q).to_dense(), dense_a, atol=1e-10)
 
 
 def test_mpo_add():

@@ -538,31 +538,32 @@ def shor_sequence(a: int, modulus: int = SHOR_MODULUS) -> GateGroupSequence:
     )
 
 
-def shor_run(
-    a: int,
-    modulus: int = SHOR_MODULUS,
-    policy: TruncationPolicy = DEFAULT_POLICY,
-    probability_floor: float = 1e-12,
-) -> ShorResult:
-    """Run the factoring pipeline and post-process every possible outcome."""
-    sequence = shor_sequence(a, modulus)
-    n_input = len(sequence.register_layout["input"])
-    run = run_gate_sequence(sequence, basis_state_mps([0] * sequence.n), policy)
-    marginal = born_sampler.marginal_distribution(run.state, range(1, n_input + 1))
-    flat = marginal.reshape(-1)
-    distribution = []
-    for index in range(flat.size):
-        if flat[index] > probability_floor:
-            y = int(format(index, f"0{n_input}b")[::-1], 2)
-            distribution.append((y, float(flat[index])))
-    distribution.sort()
-    extractions = tuple(
-        extract_period(y, 2 ** n_input, a, modulus) for y, _ in distribution
+def shor_readout(a: int, outcomes: Mapping[str, object]):
+    """Read measured input-register bitstrings of ``shor(a)`` as phase estimates.
+
+    The Fourier groups leave the input register in reversed bit order, so
+    each bitstring read backwards is the phase estimate ``y``.  Returns the
+    outcomes keyed by the reversed bitstrings and one :func:`extract_period`
+    row per ``y``, in ascending order.
+    """
+    estimates = {key[::-1]: value for key, value in outcomes.items()}
+    rows = tuple(
+        extract_period(int(key, 2), 2 ** len(key), a, SHOR_MODULUS) for key in sorted(estimates)
     )
+    return estimates, rows
+
+
+def shor_run(a: int) -> ShorResult:
+    """Run ``shor(a)`` as ``simulate --builtin shor(a)`` does, with exact
+    probabilities, and post-process every possible outcome."""
+    sequence, initial, readout = _shor(a)
+    run = run_gate_sequence(sequence, initial)
+    report = born_sampler.sample(run.state, born_sampler.MeasurementPlan(readout))
+    probabilities, extractions = shor_readout(a, report.probabilities)
     return ShorResult(
         a=a,
-        modulus=modulus,
-        distribution=tuple(distribution),
+        modulus=SHOR_MODULUS,
+        distribution=tuple((int(key, 2), p) for key, p in sorted(probabilities.items())),
         extractions=extractions,
         rank_history=run.rank_history,
         final_ranks=run.state.ranks,
@@ -571,6 +572,10 @@ def shor_run(
 
 # ---------------------------------------------------------------------------
 # builtin registry
+
+#: Largest JSON register ``n`` and largest builtin argument: the input state
+#: alone is one core per qubit, so an unbounded size could exhaust memory.
+MAX_QUBITS = 100_000
 
 
 @dataclass(frozen=True)
@@ -629,7 +634,8 @@ def build_builtin(name: str, arg: int | None = None):
 
     Returns ``(sequence, input state, default readout)``.  Raises
     ``ValueError`` for an unknown name, an argument given to a circuit that
-    takes none, and a missing, non-integer or non-positive argument.
+    takes none, and a missing or non-integer argument or one outside
+    ``[1, MAX_QUBITS]``.
     """
     entry = BUILTINS.get(name)
     if entry is None:
@@ -640,6 +646,6 @@ def build_builtin(name: str, arg: int | None = None):
     elif arg is None:
         example = f"{name}({entry.example})"
         raise ValueError(f"builtin {name} needs its argument {entry.arg}, e.g. {example}")
-    elif isinstance(arg, bool) or not isinstance(arg, int) or arg < 1:
-        raise ValueError(f"builtin {name}: {entry.arg} must be an integer >= 1, got {arg!r}")
+    elif isinstance(arg, bool) or not isinstance(arg, int) or not 1 <= arg <= MAX_QUBITS:
+        raise ValueError(f"builtin {name}: {entry.arg} must be an integer in [1, {MAX_QUBITS}], got {arg!r}")
     return entry.build(arg)

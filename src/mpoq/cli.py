@@ -50,10 +50,6 @@ EXIT_SCHEMA = 2
 EXIT_NUMERICAL = 3
 EXIT_ZERO_POSTSELECT = 4
 
-#: Largest register a JSON circuit may declare; the input state alone is
-#: one core per qubit, so an unbounded ``n`` could exhaust memory.
-MAX_QUBITS = 100_000
-
 
 class CircuitSpecError(ValueError):
     """Malformed circuit description or CLI arguments (exit code 2)."""
@@ -215,7 +211,7 @@ def load_circuit_payload(payload, label: str) -> LoadedCircuit:
     raises :class:`CircuitSpecError` naming its path, e.g. ``ops[3].target``.
     """
     _fields(payload, "", ("n", "ops"), ("initial", "policy"))
-    n = _integer(payload["n"], "n", 1, MAX_QUBITS)
+    n = _integer(payload["n"], "n", 1, catalog.MAX_QUBITS)
     policy = _policy(payload.get("policy", {}))
     initial = _initial_state(payload.get("initial", "zeros"), n)
     if not isinstance(payload["ops"], list):
@@ -249,8 +245,8 @@ def load_builtin(text: str) -> LoadedCircuit:
     if not match:
         raise CircuitSpecError(f"cannot parse builtin {text!r}")
     name, arg = match.group(1), match.group(2)
-    arg = int(arg) if arg is not None else None
     try:
+        arg = int(arg) if arg is not None else None
         sequence, initial, readout = catalog.build_builtin(name, arg)
     except ValueError as exc:
         raise CircuitSpecError(str(exc)) from exc
@@ -313,10 +309,6 @@ def _parse_postselect(text: str, n: int) -> dict[int, int]:
     return assignment
 
 
-def _reverse_keys(mapping):
-    return {key[::-1]: value for key, value in mapping.items()}
-
-
 # ---------------------------------------------------------------------------
 # simulate
 
@@ -358,19 +350,12 @@ def cmd_simulate(args) -> int:
 
     shor_rows = None
     if circuit.shor_base is not None and measured == circuit.default_measure:
-        # reversed reading happens here so outputs are the phase estimates
-        report = replace(
-            report,
-            counts=_reverse_keys(report.counts),
-            probabilities=None
-            if report.probabilities is None
-            else _reverse_keys(report.probabilities),
-        )
-        support = report.probabilities if report.probabilities else report.frequencies()
-        shor_rows = [
-            catalog.extract_period(int(key, 2), 2 ** len(measured), circuit.shor_base, catalog.SHOR_MODULUS)
-            for key in sorted(support)
-        ]
+        # outputs are the phase estimates; rows follow the exact support when there is one
+        counts, shor_rows = catalog.shor_readout(circuit.shor_base, report.counts)
+        probabilities = report.probabilities
+        if probabilities:
+            probabilities, shor_rows = catalog.shor_readout(circuit.shor_base, probabilities)
+        report = replace(report, counts=counts, probabilities=probabilities)
 
     _write_report(report, args.out, args.format, shor_rows)
     _print_summary(circuit, run, report, shor_rows)

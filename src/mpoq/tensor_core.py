@@ -9,7 +9,8 @@ can be shared freely across threads.  The site steps at the end of the
 module (``svd_step``, ``move_center``, ``apply_window``) are the
 exception: they replace entries of a caller-owned list of state cores in
 place, so an executor can keep one chain in mixed-canonical form across
-many operators.
+many operators.  ``move_center`` is the one sweep loop: orthonormalization,
+compression and the re-rounding of an applied window all run through it.
 
 An operator stores only the cores of the sites it acts on, its window
 ``MPO.span``, plus the register size ``MPO.n``; it is the identity on every
@@ -17,7 +18,9 @@ other site.  Whoever builds a gate or gate group knows that window and
 lifts it with ``MPO.embed``, so a gate costs its window, not the register.
 ``apply_window`` works on the window alone; the operations that need the
 whole register (products, sums, dense reconstruction, rounding) take it
-from ``MPO.padded``, the one place that writes identity cores.
+from ``MPO.padded``, the one place that writes identity cores.  Dense
+reconstruction of an operator contracts its d²-site state view, so states
+and operators share one dense contraction.
 
 Bond indices use one fixed lumping convention throughout (first index
 varies fastest, i.e. Fortran-order reshapes), which keeps the SVD sweeps
@@ -91,6 +94,26 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
     return out
 
 
+def _chain(cores, order: int) -> tuple[np.ndarray, ...]:
+    """Read-only copies of ``cores`` after the one chain check: order ``order``,
+    nonempty equal physical slots, boundary bonds 1 and matching inner bonds."""
+    cores = tuple(map(_freeze, cores))
+    if not cores:
+        raise ValueError("a chain needs at least one core")
+    for i, core in enumerate(cores):
+        if core.ndim != order:
+            raise ValueError(f"core {i} must have order {order}, got shape {core.shape}")
+        slots = core.shape[1:-1]
+        if slots[0] < 1 or slots[-1] != slots[0]:
+            raise ValueError(f"core {i} needs nonempty, equal physical slots, got shape {core.shape}")
+    if cores[0].shape[0] != 1 or cores[-1].shape[-1] != 1:
+        raise ValueError("boundary bond dimensions must be 1")
+    for i in range(1, len(cores)):
+        if cores[i].shape[0] != cores[i - 1].shape[-1]:
+            raise ValueError(f"bond mismatch between cores {i - 1} and {i}")
+    return cores
+
+
 class MPS:
     """Matrix product state: a chain of order-3 complex cores.
 
@@ -102,20 +125,7 @@ class MPS:
     __slots__ = ("cores", "right_orthonormal")
 
     def __init__(self, cores, *, right_orthonormal: bool = False) -> None:
-        cores = [_freeze(c) for c in cores]
-        if not cores:
-            raise ValueError("an MPS needs at least one core")
-        for i, core in enumerate(cores):
-            if core.ndim != 3:
-                raise ValueError(f"core {i} must have order 3, got shape {core.shape}")
-            if core.shape[1] < 1:
-                raise ValueError(f"core {i} has empty physical dimension")
-        if cores[0].shape[0] != 1 or cores[-1].shape[2] != 1:
-            raise ValueError("boundary bond dimensions must be 1")
-        for i in range(1, len(cores)):
-            if cores[i].shape[0] != cores[i - 1].shape[2]:
-                raise ValueError(f"bond mismatch between cores {i - 1} and {i}")
-        self.cores = tuple(cores)
+        self.cores = _chain(cores, 3)
         self.right_orthonormal = right_orthonormal
 
     @property
@@ -149,7 +159,7 @@ class MPS:
         """Full contraction into a vector of size ``prod(dims)`` (guarded)."""
         size = int(np.prod(self.dims, dtype=np.int64))
         if size > dense_cap():
-            raise DenseCapExceeded(f"dense state of size {size} exceeds cap {dense_cap()}")
+            raise DenseCapExceeded(f"dense tensor of size {size} exceeds cap {dense_cap()}")
         acc = self.cores[0].reshape(self.dims[0], -1)
         for core in self.cores[1:]:
             acc = np.tensordot(acc, core, axes=([1], [0]))
@@ -193,22 +203,9 @@ class MPO:
     __slots__ = ("cores", "span", "n")
 
     def __init__(self, cores) -> None:
-        cores = [_freeze(c) for c in cores]
-        if not cores:
-            raise ValueError("an MPO needs at least one core")
-        for i, core in enumerate(cores):
-            if core.ndim != 4:
-                raise ValueError(f"core {i} must have order 4, got shape {core.shape}")
-            if core.shape[1] != core.shape[2]:
-                raise ValueError(f"core {i} must act on square physical slots")
-        if cores[0].shape[0] != 1 or cores[-1].shape[3] != 1:
-            raise ValueError("boundary bond dimensions must be 1")
-        for i in range(1, len(cores)):
-            if cores[i].shape[0] != cores[i - 1].shape[3]:
-                raise ValueError(f"bond mismatch between cores {i - 1} and {i}")
-        self.cores = tuple(cores)
-        self.span = (0, len(cores) - 1)
-        self.n = len(cores)
+        self.cores = _chain(cores, 4)
+        self.span = (0, len(self.cores) - 1)
+        self.n = len(self.cores)
 
     @classmethod
     def embed(cls, cores, start: int, n: int) -> "MPO":
@@ -247,17 +244,12 @@ class MPO:
         return max(self.ranks)
 
     def to_dense(self) -> np.ndarray:
-        """Full contraction into a ``prod(dims) x prod(dims)`` matrix (guarded)."""
-        size = int(np.prod(self.dims, dtype=np.int64))
-        if size * size > dense_cap():
-            raise DenseCapExceeded(f"dense operator of size {size}^2 exceeds cap {dense_cap()}")
-        cores = self.padded()
-        acc = cores[0]
-        for core in cores[1:]:
-            acc = np.einsum("aijb,bklc->aikjlc", acc, core, optimize=True)
-            s = acc.shape
-            acc = acc.reshape(s[0], s[1] * s[2], s[3] * s[4], s[5])
-        return acc[0, :, :, 0]
+        """Full contraction into a ``prod(dims) x prod(dims)`` matrix (guarded),
+        from the d²-site view's entry order ``(row_1, col_1, row_2, ...)``."""
+        dims = [d for d in self.dims if d > 1]  # a site of dimension 1 adds no axis
+        n, size = len(dims), int(np.prod(dims, dtype=np.int64))
+        flat = _mpo_as_mps(self).to_dense().reshape([x for d in dims for x in (d, d)])
+        return flat.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(size, size)
 
     def apply(self, state: MPS) -> MPS:
         """Operator-state product; output ranks are the exact products."""
@@ -414,8 +406,7 @@ def orthonormalize_right(state: MPS, policy: TruncationPolicy = DEFAULT_POLICY) 
     """Right-to-left SVD sweep; afterwards all cores but the first are
     right-orthonormal and the ranks are non-increasing."""
     cores = list(state.cores)
-    for i in range(len(cores) - 1, 0, -1):
-        svd_step(cores, i, -1, policy)
+    move_center(cores, len(cores) - 1, 0, policy)
     return MPS(cores, right_orthonormal=True)
 
 
@@ -423,8 +414,7 @@ def orthonormalize_left(state: MPS, policy: TruncationPolicy = DEFAULT_POLICY) -
     """Left-to-right SVD sweep; afterwards all cores but the last are
     left-orthonormal and the ranks are non-increasing."""
     cores = list(state.cores)
-    for i in range(len(cores) - 1):
-        svd_step(cores, i, 1, policy)
+    move_center(cores, 0, len(cores) - 1, policy)
     return MPS(cores)
 
 
@@ -439,6 +429,8 @@ def is_right_orthonormal(state: MPS, tol: float = ORTH_TOL) -> bool:
 
 
 def _mpo_as_mps(op: MPO) -> MPS:
+    """The d²-site state view of ``op``: site ``i`` carries ``(row, col)``
+    as one index ``row * d + col``."""
     cores = []
     for c in op.padded():
         r, d, _, s = c.shape
@@ -470,18 +462,8 @@ def compress_mpo(op: MPO, policy: TruncationPolicy = DEFAULT_POLICY) -> MPO:
 # core manipulation
 
 
-def _right_multiplied(core: np.ndarray, q: np.ndarray) -> np.ndarray:
-    return core @ q
-
-
 def _left_multiplied(core: np.ndarray, q: np.ndarray) -> np.ndarray:
     return (q @ core.reshape(core.shape[0], -1)).reshape(q.shape[0], *core.shape[1:])
-
-
-def _rebuild(value, cores):
-    if isinstance(value, MPO):
-        return MPO(cores)
-    return MPS(cores)
 
 
 def transform_bond(value, i: int, q: np.ndarray):
@@ -497,9 +479,9 @@ def transform_bond(value, i: int, q: np.ndarray):
     cores = list(value.padded() if isinstance(value, MPO) else value.cores)
     if i + 1 >= len(cores):
         raise IndexError("bond index out of range")
-    cores[i] = _right_multiplied(cores[i], q)
+    cores[i] = cores[i] @ q
     cores[i + 1] = _left_multiplied(cores[i + 1], q_inv)
-    return _rebuild(value, cores)
+    return type(value)(cores)
 
 
 def mpo_add(left: MPO, right: MPO) -> MPO:
@@ -562,15 +544,15 @@ def svd_step(cores: list, i: int, step: int, policy: TruncationPolicy) -> None:
     else:
         u, sv, vh = _truncated_svd(_right_unfold(cores[i]), policy)
         cores[i] = _right_fold(vh, d, s)
-        cores[i - 1] = _right_multiplied(cores[i - 1], u * sv)
+        cores[i - 1] = cores[i - 1] @ (u * sv)
 
 
-def move_center(cores: list, center: int, target: int) -> int:
-    """Lossless steps from ``center`` to ``target``; returns ``target``."""
-    for i in range(center, target):
-        svd_step(cores, i, 1, LOSSLESS)
-    for i in range(center, target, -1):
-        svd_step(cores, i, -1, LOSSLESS)
+def move_center(cores: list, center: int, target: int, policy: TruncationPolicy = LOSSLESS) -> int:
+    """Steps from ``center`` to ``target``, each bond on the way cut by
+    ``policy``; returns ``target``.  The one sweep loop of the module."""
+    step = 1 if target > center else -1
+    for i in range(center, target, step):
+        svd_step(cores, i, step, policy)
     return target
 
 
@@ -590,7 +572,4 @@ def apply_window(cores: list, center: int, op: MPO, policy: TruncationPolicy) ->
     for i in range(lo, hi + 1):
         cores[i] = apply_core(op.cores[i - lo], cores[i])
     right = move_center(cores, lo, min(hi + 1, len(cores) - 1))
-    left = max(lo - 1, 0)
-    for i in range(right, left, -1):
-        svd_step(cores, i, -1, policy)
-    return left
+    return move_center(cores, right, max(lo - 1, 0), policy)

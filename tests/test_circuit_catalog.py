@@ -548,6 +548,15 @@ def test_extract_period_failure_modes():
         cat.extract_period(256, 256, 7, 15)
 
 
+def test_shor_readout_reverses_keys_and_sorts_rows():
+    # bitstrings arrive in the register's (reversed) order
+    estimates, rows = cat.shor_readout(7, {"00000010": 0.5, "00000000": 0.25, "10000000": 0.25})
+    assert estimates == {"01000000": 0.5, "00000000": 0.25, "00000001": 0.25}
+    assert [row.y for row in rows] == [0, 1, 64]
+    assert rows == tuple(cat.extract_period(y, 256, 7, 15) for y in (0, 1, 64))
+    assert cat.shor_readout(7, {}) == ({}, ())
+
+
 def test_shor_run_supports_and_ranks():
     result = cat.shor_run(7)
     assert result.support == (0, 64, 128, 192)

@@ -77,10 +77,17 @@ def test_builtin_parsing_errors(tmp_path, capsys):
         ],
         ["simulate", "--builtin", "qfa-network(2)", "--samples", "10", "--seed", "-1"],
         ["bench", "qft", "--sizes", "4", "--seed", "-1"],
+        # builtin arguments above circuit_catalog.MAX_QUBITS are refused before any build
+        ["simulate", "--builtin", "qfa-network(1000000000)"],
+        ["simulate", "--builtin", "qft(100001)"],
+        ["bench", "qft", "--sizes", "100001"],
+        ["simulate", "--builtin", "qft(" + "1" * 5000 + ")"],  # beyond int()'s digit limit
     ],
     ids=[
         "measure-x", "negative-samples", "postselect-measured", "zero-repeats",
         "postselect-twice", "simulate-negative-seed", "bench-negative-seed",
+        "builtin-count-above-cap", "builtin-qft-above-cap", "bench-size-above-cap",
+        "builtin-argument-digits",
     ],
 )
 def test_bad_command_line_exits_2(args, capsys):
@@ -367,6 +374,15 @@ GOLDEN_OUTPUTS = {
     "complex-phases": (
         ["--circuit", str(EXAMPLES / "custom.json"), "--samples", "5000", "--seed", "11"],
         "5e1e41494420be4e06d3a291cfa80f4106588685267a85a0b96708af36a6ce06",
+    ),
+    # shor's readout reverses the keys and adds the period extraction rows
+    "shor-exact-json": (
+        ["--builtin", "shor(7)", "--samples", "0", "--format", "json"],
+        "cecb12d28d7f549ad6a52cea1c6a310a042cb9ca7140b85a646188c8eeed6f0c",
+    ),
+    "shor-sampled": (
+        ["--builtin", "shor(13)", "--samples", "5000", "--seed", "11"],
+        "a7d3cd3ad6c76ab0c3c399b9039e46ec001575d9900f0a0d25878bcbe252c06f",
     ),
 }
 

@@ -46,13 +46,38 @@ def test_basis_state_rejects_empty_and_bad_bits():
         tc.basis_state_mps([0, 2])
 
 
-def test_chain_consistency_enforced():
-    good = np.zeros((1, 2, 3)), np.zeros((3, 2, 1))
-    tc.MPS(good)
+def _zeros(*shape):
+    return np.zeros(shape)
+
+
+_GOOD_CHAINS = {
+    "MPS": [_zeros(1, 2, 3), _zeros(3, 2, 1)],
+    "MPO": [_zeros(1, 2, 2, 3), _zeros(3, 2, 2, 1)],
+}
+
+# every way a core list fails the chain check, for both containers
+_BAD_CHAINS = {
+    "MPS-empty": [],
+    "MPO-empty": [],
+    "MPS-wrong-order": [_zeros(1, 2, 2, 1)],
+    "MPO-wrong-order": [_zeros(1, 2, 1)],
+    "MPS-zero-size-slot": [_zeros(1, 2, 1), _zeros(1, 0, 1)],
+    "MPO-zero-size-slot": [_zeros(1, 2, 2, 1), _zeros(1, 0, 0, 1)],
+    "MPO-non-square-slot": [_zeros(1, 2, 2, 1), _zeros(1, 2, 3, 1)],
+    "MPS-boundary-bond": [_zeros(2, 2, 1)],
+    "MPO-boundary-bond": [_zeros(1, 2, 2, 2)],
+    "MPS-inner-bond-mismatch": [_zeros(1, 2, 3), _zeros(2, 2, 1)],
+    "MPO-inner-bond-mismatch": [_zeros(1, 2, 2, 3), _zeros(2, 2, 2, 1)],
+}
+
+
+@pytest.mark.parametrize("case", list(_BAD_CHAINS))
+def test_chain_consistency_enforced(case):
+    kind = case.split("-")[0]
+    container = getattr(tc, kind)
+    container(_GOOD_CHAINS[kind])
     with pytest.raises(ValueError):
-        tc.MPS([np.zeros((1, 2, 3)), np.zeros((2, 2, 1))])
-    with pytest.raises(ValueError):
-        tc.MPS([np.zeros((2, 2, 1))])  # boundary rank must be 1
+        container(_BAD_CHAINS[case])
 
 
 def test_cores_are_read_only():
@@ -128,6 +153,13 @@ def test_dense_cap_guard(monkeypatch):
         tc.basis_state_mps([0, 0, 0, 0]).to_dense()
     monkeypatch.setenv("MPOQ_DENSE_CAP", "16")
     tc.basis_state_mps([0, 0, 0, 0]).to_dense()
+    # a 2-qubit operator has 4 x 4 = 16 entries
+    op = tc.MPO.identity(2)
+    monkeypatch.setenv("MPOQ_DENSE_CAP", "15")
+    with pytest.raises(tc.DenseCapExceeded):
+        op.to_dense()
+    monkeypatch.setenv("MPOQ_DENSE_CAP", "16")
+    assert_allclose(op.to_dense(), np.eye(4))
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +171,15 @@ def test_cnot_mpo_dense_matrix():
         [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 0, 1, 0]], dtype=complex
     )
     assert_allclose(controlled_mpo((1,), PAULI_X, 2, 2).to_dense(), expected, atol=1e-15)
+
+
+def test_operator_dense_is_kron_for_mixed_site_dimensions():
+    rng = np.random.default_rng(8)
+    mats = [rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in (3, 1, 2)]
+    op = tc.MPO([m[None, :, :, None] for m in mats])
+    assert_allclose(op.to_dense(), kron_chain(mats), atol=1e-14)
+    # 80 axes of length 1 would exceed numpy's limit on array axes
+    assert_allclose(tc.MPO.identity(40, d=1).to_dense(), [[1.0]])
 
 
 def test_identity_apply_is_noop():

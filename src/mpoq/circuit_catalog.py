@@ -5,7 +5,8 @@ the fixed Simon instance with interleaved registers, the quantum Fourier
 transform split into per-qubit gate groups, and the modular-exponentiation
 operators for factoring 15, together with the windowed sequential
 executor, the classical period-extraction step and the
-registry of named builtin circuits.
+registry of named builtin circuits, each built as one runnable
+:class:`Circuit` record.
 
 No SWAP gates are used anywhere; where the omission matters (QFT output,
 factoring measurements) the bit order is reversed on readout, and that
@@ -209,36 +210,18 @@ def solve_hidden_string(support) -> list[str]:
     """Nonzero mod-2 solutions b of z . b = 0 for every z in ``support``.
 
     Standard Simon postprocessing; the instance is solved when exactly one
-    nonzero solution remains.
+    nonzero solution remains.  The register is narrow (width 4 for the
+    fixed instance), so every nonzero candidate is tested directly.
     """
-    bitstrings = sorted(support)
-    if not bitstrings:
+    if not support:
         return []
-    width = len(bitstrings[0])
-    rows = [int(z, 2) for z in bitstrings]
-    # Gaussian elimination over GF(2); then enumerate the nullspace.
-    pivots: list[int] = []
-    reduced: list[int] = []
-    for row in rows:
-        for p, r in zip(pivots, reduced):
-            if row >> p & 1:
-                row ^= r
-        if row:
-            p = row.bit_length() - 1
-            pivots.append(p)
-            reduced.append(row)
-    free = [i for i in range(width) if i not in pivots]
-    solutions = []
-    for mask in range(1, 2 ** len(free)):
-        b = 0
-        for j, i in enumerate(free):
-            if mask >> j & 1:
-                b |= 1 << i
-        for p, r in zip(pivots, reduced):
-            if bin(r & b).count("1") % 2:
-                b |= 1 << p
-        solutions.append(format(b, f"0{width}b"))
-    return sorted(solutions)
+    width = len(next(iter(support)))
+    rows = [int(z, 2) for z in support]
+    return [
+        format(b, f"0{width}b")
+        for b in range(1, 2 ** width)
+        if not any((b & z).bit_count() % 2 for z in rows)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +252,7 @@ def inverse_qft_group_mpo(i: int, n: int) -> MPO:
 
 def qft_sequence(n: int) -> "GateGroupSequence":
     """All QFT gate groups in application order (qubit order reversed on output)."""
+    check_core_budget(n * (n + 1) // 2, f"qft({n})")
     return GateGroupSequence(
         groups=tuple(qft_group_mpo(i, n) for i in range(1, n + 1)),
         label=f"qft({n})",
@@ -277,6 +261,7 @@ def qft_sequence(n: int) -> "GateGroupSequence":
 
 def inverse_qft_sequence(n: int) -> "GateGroupSequence":
     """Exact inverse of :func:`qft_sequence` (adjoint groups, reverse order)."""
+    check_core_budget(n * (n + 1) // 2, f"inverse-qft({n})")
     return GateGroupSequence(
         groups=tuple(inverse_qft_group_mpo(i, n) for i in range(n, 0, -1)),
         label=f"inverse-qft({n})",
@@ -293,16 +278,10 @@ class GateGroupSequence:
 
     groups: tuple[MPO, ...]
     label: str = ""
-    register_layout: Mapping[str, tuple[int, ...]] | None = None
 
     def __post_init__(self) -> None:
         if len({g.n for g in self.groups}) > 1:
             raise ValueError("all groups must share the register size")
-        if self.register_layout and self.groups:
-            n = self.groups[0].n
-            positions = sorted(p for ps in self.register_layout.values() for p in ps)
-            if positions != list(range(1, n + 1)):
-                raise ValueError("register layout must cover positions 1..n exactly once")
 
     @property
     def n(self) -> int:
@@ -508,34 +487,27 @@ class ShorResult:
         return tuple(sorted(found))
 
 
-def shor_sequence(a: int, modulus: int = SHOR_MODULUS) -> GateGroupSequence:
-    """Factoring pipeline as a group sequence: superpose, U_f, Fourier-invert.
+#: The input register of ``shor(a)``: its first ``2 * target_register_size(15)`` qubits.
+SHOR_INPUT = tuple(range(1, 2 * target_register_size(SHOR_MODULUS) + 1))
 
-    The phase-conjugated Fourier groups are swept over the input register so
-    that the measured bitstrings, read in reversed order, are the phase
-    estimates y directly (no SWAP gates anywhere).
+
+def shor_sequence(a: int) -> GateGroupSequence:
+    """Factoring pipeline for 15 as a group sequence: superpose, U_f, Fourier-invert.
+
+    The phase-conjugated Fourier groups are swept over the input register
+    :data:`SHOR_INPUT` so that the measured bitstrings, read in reversed
+    order, are the phase estimates y directly (no SWAP gates anywhere).
     """
-    n_target = target_register_size(modulus)
-    n_input = 2 * n_target
-    total = n_input + n_target
-    groups = [
-        hadamard_layer(range(1, n_input + 1), total),
-        modular_exponentiation_mpo(a, modulus),
-    ]
+    n_input = len(SHOR_INPUT)
+    total = n_input + target_register_size(SHOR_MODULUS)
+    groups = [hadamard_layer(SHOR_INPUT, total), modular_exponentiation_mpo(a, SHOR_MODULUS)]
     # conjugated = inverse transform up to the qubit reversal read off later;
     # group i acts on input qubits i..n_input
     groups += [
         MPO.embed(qft_group_mpo(i, n_input).conj().cores, i - 1, total)
         for i in range(1, n_input + 1)
     ]
-    return GateGroupSequence(
-        groups=tuple(groups),
-        label=f"shor({a})",
-        register_layout={
-            "input": tuple(range(1, n_input + 1)),
-            "target": tuple(range(n_input + 1, total + 1)),
-        },
-    )
+    return GateGroupSequence(groups=tuple(groups), label=f"shor({a})")
 
 
 def shor_readout(a: int, outcomes: Mapping[str, object]):
@@ -556,9 +528,9 @@ def shor_readout(a: int, outcomes: Mapping[str, object]):
 def shor_run(a: int) -> ShorResult:
     """Run ``shor(a)`` as ``simulate --builtin shor(a)`` does, with exact
     probabilities, and post-process every possible outcome."""
-    sequence, initial, readout = _shor(a)
-    run = run_gate_sequence(sequence, initial)
-    report = born_sampler.sample(run.state, born_sampler.MeasurementPlan(readout))
+    circuit = build_builtin("shor", a)
+    run = run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
+    report = born_sampler.sample(run.state, born_sampler.MeasurementPlan(circuit.readout))
     probabilities, extractions = shor_readout(a, report.probabilities)
     return ShorResult(
         a=a,
@@ -577,6 +549,29 @@ def shor_run(a: int) -> ShorResult:
 #: alone is one core per qubit, so an unbounded size could exhaust memory.
 MAX_QUBITS = 100_000
 
+#: Most operator cores one circuit may store over all its groups, about
+#: 0.4 GB at the 424 bytes a stored QFT core takes.
+MAX_CORES = 10 ** 6
+
+
+def check_core_budget(count: int, what: str) -> None:
+    """Raise ``ValueError`` when ``what`` would store ``count`` > :data:`MAX_CORES` cores."""
+    if count > MAX_CORES:
+        raise ValueError(f"{what} would store {count} operator cores, above the budget of {MAX_CORES}")
+
+
+@dataclass(frozen=True)
+class Circuit:
+    """A runnable circuit: gate groups, input state, default readout and the
+    truncation policy to run it with.  ``shor_base`` is ``a`` for ``shor(a)``,
+    whose readout :func:`shor_readout` turns into phase estimates."""
+
+    sequence: GateGroupSequence
+    initial: MPS
+    readout: tuple[int, ...]
+    policy: TruncationPolicy = DEFAULT_POLICY
+    shor_base: int | None = None
+
 
 @dataclass(frozen=True)
 class Builtin:
@@ -584,35 +579,29 @@ class Builtin:
 
     ``arg`` names its single integer argument and ``example`` is a valid
     value for it; both are ``None`` when the circuit takes no argument.
-    ``build(arg)`` returns the gate sequence, its input state and the
-    default readout positions.
+    ``build(arg)`` returns the :class:`Circuit`.
     """
 
     arg: str | None
     example: int | None
-    build: Callable[[int | None], tuple[GateGroupSequence, MPS, tuple[int, ...]]]
+    build: Callable[[int | None], Circuit]
 
 
-def _from_zeros(sequence: GateGroupSequence, readout: tuple[int, ...] | None = None):
+def _from_zeros(sequence: GateGroupSequence, readout=None, shor_base=None) -> Circuit:
+    """``sequence`` on the all-zero register, read at ``readout`` (default: every qubit)."""
     n = sequence.n
-    return sequence, basis_state_mps([0] * n), readout or tuple(range(1, n + 1))
+    readout = readout or tuple(range(1, n + 1))
+    return Circuit(sequence, basis_state_mps([0] * n), readout, shor_base=shor_base)
 
 
-def _qfa_network(count: int):
-    label = f"qfa-network({count})"
-    sequence = GateGroupSequence((full_adder_network_mpo(count),), label=label)
-    return sequence, full_adder_network_input(count), full_adder_network_outputs(count)
+def _qfa_network(count: int) -> Circuit:
+    sequence = GateGroupSequence((full_adder_network_mpo(count),), label=f"qfa-network({count})")
+    return Circuit(sequence, full_adder_network_input(count), full_adder_network_outputs(count))
 
 
-def _simon(_):
-    layout = {"first": SIMON_FIRST_REGISTER, "second": SIMON_SECOND_REGISTER}
-    sequence = GateGroupSequence((simon_circuit_mpo(),), label="simon", register_layout=layout)
+def _simon(_) -> Circuit:
+    sequence = GateGroupSequence((simon_circuit_mpo(),), label="simon")
     return _from_zeros(sequence, SIMON_FIRST_REGISTER)
-
-
-def _shor(a: int):
-    sequence = shor_sequence(a)
-    return _from_zeros(sequence, sequence.register_layout["input"])
 
 
 #: Every builtin circuit by name.  Builders look catalog functions up as
@@ -625,17 +614,16 @@ BUILTINS: dict[str, Builtin] = {
     "simon": Builtin(None, None, _simon),
     "qft": Builtin("n", 8, lambda n: _from_zeros(qft_sequence(n))),
     "inverse-qft": Builtin("n", 8, lambda n: _from_zeros(inverse_qft_sequence(n))),
-    "shor": Builtin("a", 7, _shor),
+    "shor": Builtin("a", 7, lambda a: _from_zeros(shor_sequence(a), SHOR_INPUT, shor_base=a)),
 }
 
 
-def build_builtin(name: str, arg: int | None = None):
-    """Check ``arg`` against builtin ``name`` and build it.
+def build_builtin(name: str, arg: int | None = None) -> Circuit:
+    """Check ``arg`` against builtin ``name`` and build its :class:`Circuit`.
 
-    Returns ``(sequence, input state, default readout)``.  Raises
-    ``ValueError`` for an unknown name, an argument given to a circuit that
-    takes none, and a missing or non-integer argument or one outside
-    ``[1, MAX_QUBITS]``.
+    Raises ``ValueError`` for an unknown name, an argument given to a
+    circuit that takes none, and a missing or non-integer argument or one
+    outside ``[1, MAX_QUBITS]``.
     """
     entry = BUILTINS.get(name)
     if entry is None:

@@ -2,7 +2,8 @@
 
 Circuits come either from a JSON description (``load_circuit_payload``) or
 from the builtin registry ``circuit_catalog.BUILTINS``: ``qfa``,
-``qfa-network(count)``, ``simon``, ``qft(n)``, ``inverse-qft(n)``, ``shor(a)``.
+``qfa-network(count)``, ``simon``, ``qft(n)``, ``inverse-qft(n)``, ``shor(a)``;
+either way the result is one ``circuit_catalog.Circuit``.
 Measurement output is written as CSV or JSON and is byte-stable for a fixed
 circuit, seed and package version.
 
@@ -21,7 +22,7 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .born_sampler import (
     marginal_distribution,
     sample,
 )
-from .gate_library import GatePlacement, hadamard_layer, single_qubit_gate
+from .gate_library import HADAMARD, PAULI_X, GatePlacement, hadamard_layer, phase_shift, phase_shift_k
 from .tensor_core import (
     DEFAULT_POLICY,
     MPO,
@@ -42,6 +43,7 @@ from .tensor_core import (
     DenseCapExceeded,
     TruncationPolicy,
     basis_state_mps,
+    dense_cap,
     named_state_mps,
 )
 
@@ -55,29 +57,17 @@ class CircuitSpecError(ValueError):
     """Malformed circuit description or CLI arguments (exit code 2)."""
 
 
-#: JSON gate name -> (single-qubit gate, control count or None for any, parameter)
+#: JSON gate name -> (2x2 matrix or its builder from the parameter, control
+#: count or None for any, parameter); the one map from gate name to matrix
 _GATES = {
-    "h": ("h", None, None),
-    "x": ("x", None, None),
-    "phase": ("phase", None, "phi"),
-    "rk": ("rk", None, "k"),
-    "cnot": ("x", 1, None),
-    "cphase": ("rk", 1, "k"),
-    "ccnot": ("x", 2, None),
+    "h": (HADAMARD, None, None),
+    "x": (PAULI_X, None, None),
+    "phase": (phase_shift, None, "phi"),
+    "rk": (phase_shift_k, None, "k"),
+    "cnot": (PAULI_X, 1, None),
+    "cphase": (phase_shift_k, 1, "k"),
+    "ccnot": (PAULI_X, 2, None),
 }
-
-
-@dataclass
-class LoadedCircuit:
-    """A ready-to-run circuit plus its presentation metadata."""
-
-    label: str
-    n: int
-    initial: MPS
-    sequence: catalog.GateGroupSequence
-    policy: TruncationPolicy
-    default_measure: tuple[int, ...]
-    shor_base: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -169,21 +159,23 @@ def _initial_state(choice, n: int) -> MPS:
     raise _invalid(path, "unexpected field")
 
 
-def _gate_op_mpo(op, path: str, n: int) -> MPO:
+def _gate_placement(op, path: str, n: int) -> GatePlacement:
     name = op["gate"]
     if not isinstance(name, str) or name not in _GATES:
         raise _invalid(f"{path}.gate", f"must be one of {', '.join(_GATES)}, got {_got(name)}")
-    base, count, parameter = _GATES[name]
+    matrix, count, parameter = _GATES[name]
     required = ("gate", "target") if parameter is None else ("gate", "target", parameter)
     _fields(op, path, required, ("controls",))
     target = _integer(op["target"], f"{path}.target", 1, n)
     controls = _positions(op.get("controls", []), f"{path}.controls", n)
     if count is not None and len(controls) != count:
         raise _invalid(f"{path}.controls", f"gate {name!r} takes exactly {count}, got {len(controls)}")
-    phi = _number(op["phi"], f"{path}.phi") if parameter == "phi" else None
-    k = _integer(op["k"], f"{path}.k", 1) if parameter == "k" else None
+    if parameter == "phi":
+        matrix = matrix(_number(op["phi"], f"{path}.phi"))
+    elif parameter == "k":
+        matrix = matrix(_integer(op["k"], f"{path}.k", 1))
     with _reported_at(path):
-        return GatePlacement(single_qubit_gate(base, phi=phi, k=k), target, controls, name).to_mpo(n)
+        return GatePlacement(matrix, target, controls, name)
 
 
 def _builtin_groups(op, path: str, n: int) -> tuple[MPO, ...]:
@@ -198,17 +190,20 @@ def _builtin_groups(op, path: str, n: int) -> tuple[MPO, ...]:
     if type(arg) is int and arg > n:
         raise _invalid(f"{path}.params.{entry.arg}", f"builtin {name}({arg}) needs more than n={n} qubits")
     with _reported_at(f"{path}.params"):
-        sequence, _, _ = catalog.build_builtin(name, arg)
+        sequence = catalog.build_builtin(name, arg).sequence
     if sequence.n != n:
         raise _invalid(path, f"builtin {sequence.label} acts on {sequence.n} qubits, not n={n}")
     return sequence.groups
 
 
-def load_circuit_payload(payload, label: str) -> LoadedCircuit:
-    """Validate a parsed JSON circuit description and build its sequence.
+def load_circuit_payload(payload, label: str) -> catalog.Circuit:
+    """Validate a parsed JSON circuit description and build its circuit.
 
     Each field is checked once, as the circuit is built; the first bad one
     raises :class:`CircuitSpecError` naming its path, e.g. ``ops[3].target``.
+    The entry whose stored operator cores take the sum above
+    ``circuit_catalog.MAX_CORES`` is rejected; a gate's window is counted
+    before the gate is lifted.
     """
     _fields(payload, "", ("n", "ops"), ("initial", "policy"))
     n = _integer(payload["n"], "n", 1, catalog.MAX_QUBITS)
@@ -217,48 +212,38 @@ def load_circuit_payload(payload, label: str) -> LoadedCircuit:
     if not isinstance(payload["ops"], list):
         raise _invalid("ops", f"must be a list, got {_got(payload['ops'])}")
     groups: list[MPO] = []
+    stored = 0
     for i, op in enumerate(payload["ops"]):
         path = f"ops[{i}]"
         if not isinstance(op, dict) or not {"gate", "builtin"} & op.keys():
             raise _invalid(path, f"must be a gate or builtin object, got {_got(op)}")
         if "builtin" in op:
-            groups.extend(_builtin_groups(op, path, n))
+            new = _builtin_groups(op, path, n)
+            stored += sum(len(group.cores) for group in new)
         else:
-            groups.append(_gate_op_mpo(op, path, n))
+            gate = _gate_placement(op, path, n)
+            positions = (gate.target, *gate.controls)
+            stored += max(positions) - min(positions) + 1
+        with _reported_at(path):
+            catalog.check_core_budget(stored, "the circuit")
+        groups += new if "builtin" in op else [gate.to_mpo(n)]
     sequence = catalog.GateGroupSequence(groups=tuple(groups), label=label)
-    return LoadedCircuit(
-        label=label,
-        n=n,
-        initial=initial,
-        sequence=sequence,
-        policy=policy,
-        default_measure=tuple(range(1, n + 1)),
-    )
+    return catalog.Circuit(sequence, initial, tuple(range(1, n + 1)), policy)
 
 
 _BUILTIN_RE = re.compile(r"^([a-z-]+)(?:\((\d+)\))?$")
 
 
-def load_builtin(text: str) -> LoadedCircuit:
-    """Resolve a builtin name like ``shor(7)`` into a runnable circuit."""
+def load_builtin(text: str) -> catalog.Circuit:
+    """Resolve a builtin name like ``shor(7)`` into its registry circuit."""
     match = _BUILTIN_RE.match(text.strip())
     if not match:
         raise CircuitSpecError(f"cannot parse builtin {text!r}")
     name, arg = match.group(1), match.group(2)
     try:
-        arg = int(arg) if arg is not None else None
-        sequence, initial, readout = catalog.build_builtin(name, arg)
+        return catalog.build_builtin(name, int(arg) if arg is not None else None)
     except ValueError as exc:
         raise CircuitSpecError(str(exc)) from exc
-    return LoadedCircuit(
-        label=sequence.label,
-        n=sequence.n,
-        initial=initial,
-        sequence=sequence,
-        policy=DEFAULT_POLICY,
-        default_measure=readout,
-        shor_base=arg if name == "shor" else None,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +251,8 @@ def load_builtin(text: str) -> LoadedCircuit:
 
 
 def _parse_positions(text: str, n: int) -> tuple[int, ...]:
+    """Sorted positions from ``all`` or a list like ``1,3,5-8``; a range that
+    runs backwards, a position outside ``[1, n]`` or one given twice is an error."""
     if text.strip().lower() == "all":
         return tuple(range(1, n + 1))
     positions: list[int] = []
@@ -273,19 +260,22 @@ def _parse_positions(text: str, n: int) -> tuple[int, ...]:
         part = part.strip()
         if not part:
             continue
+        lo, dash, hi = part.partition("-")
         try:
-            if "-" in part:
-                lo, hi = part.split("-", 1)
-                positions.extend(range(int(lo), int(hi) + 1))
-            else:
-                positions.append(int(part))
+            lo = int(lo)
+            hi = int(hi) if dash else lo
         except ValueError:
             raise CircuitSpecError(f"bad position {part!r} in {text!r}") from None
+        if hi < lo:
+            raise CircuitSpecError(f"range {part!r} in {text!r} runs backwards")
+        if lo < 1 or hi > n:
+            raise CircuitSpecError(f"positions {part!r} outside register [1, {n}]")
+        positions.extend(range(lo, hi + 1))
     if not positions:
         raise CircuitSpecError(f"empty position list {text!r}")
-    out = tuple(sorted(set(positions)))
-    if out[0] < 1 or out[-1] > n:
-        raise CircuitSpecError(f"positions {out} outside register [1, {n}]")
+    out = tuple(sorted(positions))
+    if len(set(out)) != len(out):
+        raise CircuitSpecError(f"position list {text!r} names a qubit more than once")
     return out
 
 
@@ -326,10 +316,9 @@ def cmd_simulate(args) -> int:
     else:
         circuit = load_builtin(args.builtin)
 
-    measured = (
-        _parse_positions(args.measure, circuit.n) if args.measure else circuit.default_measure
-    )
-    postselect = _parse_postselect(args.postselect, circuit.n) if args.postselect else {}
+    n = circuit.initial.n
+    measured = _parse_positions(args.measure, n) if args.measure else circuit.readout
+    postselect = _parse_postselect(args.postselect, n) if args.postselect else {}
     try:
         plan = MeasurementPlan(
             measured=measured,
@@ -349,7 +338,7 @@ def cmd_simulate(args) -> int:
         ) from exc
 
     shor_rows = None
-    if circuit.shor_base is not None and measured == circuit.default_measure:
+    if circuit.shor_base is not None and measured == circuit.readout:
         # outputs are the phase estimates; rows follow the exact support when there is one
         counts, shor_rows = catalog.shor_readout(circuit.shor_base, report.counts)
         probabilities = report.probabilities
@@ -385,9 +374,9 @@ def _write_report(report: SampleReport, out: str | None, fmt: str, shor_rows) ->
         handle.write(text)
 
 
-def _print_summary(circuit: LoadedCircuit, run, report: SampleReport, shor_rows) -> None:
+def _print_summary(circuit: catalog.Circuit, run, report: SampleReport, shor_rows) -> None:
     ranks = ";".join(str(max(r)) for r in run.rank_history)
-    print(f"circuit {circuit.label}: n={circuit.n}, max rank per step [{ranks}]")
+    print(f"circuit {circuit.sequence.label}: n={circuit.initial.n}, max rank per step [{ranks}]")
     print(
         f"measured {list(report.measured)} with s={report.sample_count}, "
         f"seed={report.seed} ({report.elapsed_seconds:.3f} s)"
@@ -418,31 +407,29 @@ def cmd_bench(args) -> int:
     lines = ["builtin,size,n_qubits,samples,repeats,mean_seconds,std_seconds,max_rank,rank_trajectory"]
     for size in sizes:
         times = []
-        trajectory = ""
-        max_rank = 0
+        circuit = load_builtin(f"{args.builtin}({size})" if size else args.builtin)
+        n = circuit.initial.n
         for repeat in range(args.repeats):
-            circuit = load_builtin(f"{args.builtin}({size})" if size else args.builtin)
             initial = circuit.initial
             if args.builtin in ("qft", "inverse-qft"):
-                rng = np.random.default_rng((args.seed, circuit.n, repeat))
-                initial = basis_state_mps(rng.integers(0, 2, circuit.n))
+                rng = np.random.default_rng((args.seed, n, repeat))
+                initial = basis_state_mps(rng.integers(0, 2, n))
             begin = time.perf_counter()
             run = catalog.run_gate_sequence(circuit.sequence, initial, circuit.policy)
             plan = MeasurementPlan(
-                measured=circuit.default_measure,
+                measured=circuit.readout,
                 sample_count=args.samples,
                 seed=args.seed + repeat,
                 exact_probabilities=False,
             )
             sample(run.state, plan)
             times.append(time.perf_counter() - begin)
-            trajectory = ";".join(str(max(r)) for r in run.rank_history)
-            max_rank = max((max(r) for r in run.rank_history), default=1)
+        trajectory = ";".join(str(max(r)) for r in run.rank_history)
         mean = statistics.fmean(times)
         std = statistics.stdev(times) if len(times) > 1 else 0.0
         lines.append(
-            f"{args.builtin},{size},{circuit.n},{args.samples},{args.repeats},"
-            f"{mean:.6f},{std:.6f},{max_rank},{trajectory}"
+            f"{args.builtin},{size},{n},{args.samples},{args.repeats},"
+            f"{mean:.6f},{std:.6f},{run.max_rank_seen},{trajectory}"
         )
     text = "\n".join(lines) + "\n"
     if args.out:
@@ -476,11 +463,9 @@ def _check_qfa() -> tuple[bool, str]:
 
 
 def _check_simon() -> tuple[bool, str]:
-    result = catalog.run_gate_sequence(
-        catalog.GateGroupSequence((catalog.simon_circuit_mpo(),), label="simon"),
-        basis_state_mps([0] * 8),
-    )
-    marginal = marginal_distribution(result.state, catalog.SIMON_FIRST_REGISTER).reshape(-1)
+    circuit = catalog.build_builtin("simon")
+    result = catalog.run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
+    marginal = marginal_distribution(result.state, circuit.readout).reshape(-1)
     support = {format(i, "04b") for i in np.nonzero(marginal > 1e-12)[0]}
     if support != set(catalog.SIMON_SUPPORT):
         return False, f"support {sorted(support)} differs from the expected solution set"
@@ -620,6 +605,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
+        try:
+            dense_cap()
+        except ValueError as exc:
+            raise CircuitSpecError(str(exc)) from exc
         return args.func(args)
     except CircuitSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

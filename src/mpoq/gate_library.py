@@ -38,24 +38,6 @@ def phase_shift_k(k: int) -> np.ndarray:
     return phase_shift(math.ldexp(2.0 * np.pi, -k))
 
 
-def single_qubit_gate(name: str, *, phi: float | None = None, k: int | None = None) -> np.ndarray:
-    """Resolve a single-qubit gate name (h, x, phase, rk) to its 2x2 matrix."""
-    key = name.strip().lower()
-    if key == "h":
-        return HADAMARD
-    if key == "x":
-        return PAULI_X
-    if key == "phase":
-        if phi is None:
-            raise ValueError("gate 'phase' needs parameter phi")
-        return phase_shift(phi)
-    if key == "rk":
-        if k is None:
-            raise ValueError("gate 'rk' needs parameter k")
-        return phase_shift_k(k)
-    raise ValueError(f"unknown single-qubit gate {name!r}")
-
-
 @dataclass(frozen=True)
 class GatePlacement:
     """A 2x2 gate placed on a register: target qubit plus optional controls."""

@@ -45,9 +45,17 @@ class DenseCapExceeded(ValueError):
 
 
 def dense_cap() -> int:
-    """Largest dense object size allowed, overridable via ``MPOQ_DENSE_CAP``."""
+    """Largest dense object size allowed, overridable via ``MPOQ_DENSE_CAP``,
+    which must then be an integer >= 1 (``ValueError`` otherwise)."""
     value = os.environ.get("MPOQ_DENSE_CAP")
-    return int(value) if value else DEFAULT_DENSE_CAP
+    if not value:
+        return DEFAULT_DENSE_CAP
+    try:
+        if int(value) >= 1:
+            return int(value)
+    except ValueError:
+        pass
+    raise ValueError(f"MPOQ_DENSE_CAP must be an integer >= 1, got {value!r}")
 
 
 @dataclass(frozen=True)

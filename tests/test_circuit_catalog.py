@@ -197,6 +197,27 @@ def test_simon_hidden_string_recovery():
     # sanity: all-z set of the full space has no nonzero solution
     everything = {format(i, "04b") for i in range(16)}
     assert cat.solve_hidden_string(everything) == []
+    assert cat.solve_hidden_string({"0000", "0110", "1001", "1100"}) == ["1111"]
+
+
+def test_hidden_string_solutions_are_the_nullspace():
+    """Random supports of width 1-8 against the definition: every returned b
+    is nonzero and orthogonal to the support, and together with 0 they are as
+    many as 2^width / |span(support)|, the size of the nullspace."""
+    rng = np.random.default_rng(2024)
+    for _ in range(400):
+        width = int(rng.integers(1, 9))
+        size = int(rng.integers(1, min(2 ** width, 10) + 1))
+        rows = {int(z) for z in rng.choice(2 ** width, size=size, replace=False)}
+        span = {0}
+        for z in rows:
+            span |= {s ^ z for s in span}
+        support = {format(z, f"0{width}b") for z in rows}
+        solutions = cat.solve_hidden_string(support)
+        assert solutions == sorted(set(solutions)), support
+        for b in (int(text, 2) for text in solutions):
+            assert b and all(bin(b & z).count("1") % 2 == 0 for z in rows), (support, solutions)
+        assert len(solutions) + 1 == 2 ** width // len(span), (support, solutions)
 
 
 # ---------------------------------------------------------------------------
@@ -405,12 +426,6 @@ def test_groups_stay_inside_their_span(sequence, spans):
         center = tc.apply_window(cores, center, group, tc.DEFAULT_POLICY)
         for i in [*range(lo - 1), *range(hi + 2, n)]:
             assert cores[i] is before[i], (group.span, i)
-
-
-def test_sequence_layout_validation():
-    groups = (cat.simon_circuit_mpo(),)
-    with pytest.raises(ValueError):
-        cat.GateGroupSequence(groups, label="bad", register_layout={"first": (1, 2, 3)})
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from mpoq import circuit_catalog as catalog
 from mpoq import cli
 from mpoq import dense_oracle as oracle
 from mpoq.born_sampler import MeasurementPlan, ZeroProbabilityError, sample
-from mpoq.gate_library import HADAMARD, single_qubit_gate
+from mpoq.gate_library import HADAMARD, PAULI_X, GatePlacement, phase_shift, phase_shift_k
 from mpoq.tensor_core import MPO
 
 
@@ -82,18 +82,81 @@ def test_builtin_parsing_errors(tmp_path, capsys):
         ["simulate", "--builtin", "qft(100001)"],
         ["bench", "qft", "--sizes", "100001"],
         ["simulate", "--builtin", "qft(" + "1" * 5000 + ")"],  # beyond int()'s digit limit
+        # --measure takes each position once, ranges running forwards, all inside the register
+        ["simulate", "--builtin", "qfa", "--measure", "1,4-2"],
+        ["simulate", "--builtin", "qfa", "--measure", "1,1"],
+        ["simulate", "--builtin", "qfa", "--measure", "1-3,2"],
+        ["simulate", "--builtin", "qfa", "--measure", "1-1000000000000"],
     ],
     ids=[
         "measure-x", "negative-samples", "postselect-measured", "zero-repeats",
         "postselect-twice", "simulate-negative-seed", "bench-negative-seed",
         "builtin-count-above-cap", "builtin-qft-above-cap", "bench-size-above-cap",
-        "builtin-argument-digits",
+        "builtin-argument-digits", "measure-reversed-range", "measure-repeated",
+        "measure-overlapping-ranges", "measure-huge-range",
     ],
 )
 def test_bad_command_line_exits_2(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == cli.EXIT_SCHEMA
     assert err.startswith("error: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("value", ["abc", "1e6", "0", "-3"])
+def test_bad_dense_cap_variable_exits_2(value, monkeypatch, capsys):
+    monkeypatch.setenv("MPOQ_DENSE_CAP", value)
+    code, _, err = run_cli(["simulate", "--builtin", "simon"], capsys)
+    assert code == cli.EXIT_SCHEMA
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "MPOQ_DENSE_CAP" in err
+
+
+def test_qft_above_the_core_budget_is_rejected_before_any_group_is_built(
+    tmp_path, monkeypatch, capsys
+):
+    def qft_group_mpo(i, n):
+        raise AssertionError(f"built group {i} of qft({n})")
+
+    monkeypatch.setattr(catalog, "qft_group_mpo", qft_group_mpo)
+    # 1413 * 1414 / 2 = 998,991 cores fit the budget; 1414 * 1415 / 2 do not
+    with pytest.raises(AssertionError, match="qft"):
+        catalog.qft_sequence(1413)
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"n": 1414, "ops": [{"builtin": "qft", "params": {"n": 1414}}]}))
+    for args in (
+        ["simulate", "--builtin", "qft(1414)"],
+        ["simulate", "--builtin", "inverse-qft(1414)"],
+        ["bench", "inverse-qft", "--sizes", "2000"],
+        ["simulate", "--circuit", str(path)],
+    ):
+        code, _, err = run_cli(args, capsys)
+        assert code == cli.EXIT_SCHEMA, args
+        assert err.startswith("error: ") and err.count("\n") == 1, (args, err)
+        assert str(catalog.MAX_CORES) in err, (args, err)
+    assert "ops[0].params" in err
+
+
+def test_wide_gates_above_the_core_budget_are_rejected_before_they_are_lifted(monkeypatch):
+    lifted = []
+    to_mpo = GatePlacement.to_mpo
+
+    def counting_to_mpo(self, n):
+        lifted.append((self.target, *self.controls))
+        return to_mpo(self, n)
+
+    monkeypatch.setattr(GatePlacement, "to_mpo", counting_to_mpo)
+    monkeypatch.setattr(catalog, "MAX_CORES", 50)
+    wide = {"gate": "cnot", "controls": [1], "target": 20}
+    circuit = cli.load_circuit_payload({"n": 20, "ops": [wide, wide, _gate("h", 3)]}, "wide")
+    assert sum(len(g.cores) for g in circuit.sequence.groups) == 41
+    assert len(lifted) == 3
+    with pytest.raises(cli.CircuitSpecError, match=r"ops\[2\]: .*60 operator cores"):
+        cli.load_circuit_payload({"n": 20, "ops": [wide, wide, wide]}, "wide")
+    assert len(lifted) == 5  # the gate over the budget is never lifted
+    # an embedded builtin counts its stored cores: 9 for the gate, 45 for qft(9)
+    ops = [wide | {"target": 9}, {"builtin": "qft", "params": {"n": 9}}]
+    with pytest.raises(cli.CircuitSpecError, match=r"ops\[1\]: .*54 operator cores"):
+        cli.load_circuit_payload({"n": 9, "ops": ops}, "wide")
 
 
 def test_exact_output_above_dense_cap_exits_2(capsys):
@@ -438,10 +501,14 @@ def test_zero_probability_postselect_exit_code(capsys):
     assert "probability" in err
 
 
-#: JSON gate name -> (number of controls, base single-qubit gate)
+#: JSON gate name -> (number of controls, the op's 2x2 matrix)
 _JSON_GATES = {
-    "h": (0, "h"), "x": (0, "x"), "phase": (0, "phase"),
-    "cnot": (1, "x"), "cphase": (1, "rk"), "ccnot": (2, "x"),
+    "h": (0, lambda op: HADAMARD),
+    "x": (0, lambda op: PAULI_X),
+    "phase": (0, lambda op: phase_shift(op["phi"])),
+    "cnot": (1, lambda op: PAULI_X),
+    "cphase": (1, lambda op: phase_shift_k(op["k"])),
+    "ccnot": (2, lambda op: PAULI_X),
 }
 
 
@@ -485,7 +552,7 @@ def _dense_payload_state(payload) -> np.ndarray:
     for q in initial.get("hadamard_on", ()):
         state = oracle.apply_gate_dense(state, HADAMARD, target=q)
     for op in payload["ops"]:
-        matrix = single_qubit_gate(_JSON_GATES[op["gate"]][1], phi=op.get("phi"), k=op.get("k"))
+        matrix = _JSON_GATES[op["gate"]][1](op)
         state = oracle.apply_gate_dense(state, matrix, op["target"], op.get("controls", ()))
     return state
 

@@ -28,16 +28,6 @@ def test_gate_matrix_properties():
     assert_allclose(gl.phase_shift(0.7), np.diag([1.0, np.exp(0.7j)]), atol=1e-15)
 
 
-def test_single_qubit_gate_resolution():
-    assert_allclose(gl.single_qubit_gate("h"), gl.HADAMARD)
-    assert_allclose(gl.single_qubit_gate("phase", phi=0.3), gl.phase_shift(0.3))
-    assert_allclose(gl.single_qubit_gate("rk", k=2), gl.phase_shift_k(2))
-    with pytest.raises(ValueError):
-        gl.single_qubit_gate("phase")
-    with pytest.raises(ValueError):
-        gl.single_qubit_gate("swap")
-
-
 def test_single_qubit_mpo_dense():
     assert_allclose(gl.single_qubit_mpo(gl.HADAMARD, 1, 1).to_dense(), gl.HADAMARD)
     expected = kron_chain([np.eye(2), gl.HADAMARD, np.eye(2)])

@@ -160,6 +160,10 @@ def test_dense_cap_guard(monkeypatch):
         op.to_dense()
     monkeypatch.setenv("MPOQ_DENSE_CAP", "16")
     assert_allclose(op.to_dense(), np.eye(4))
+    for bad in ("abc", "1e6", "0", "-3"):
+        monkeypatch.setenv("MPOQ_DENSE_CAP", bad)
+        with pytest.raises(ValueError, match="MPOQ_DENSE_CAP"):
+            tc.dense_cap()
 
 
 # ---------------------------------------------------------------------------

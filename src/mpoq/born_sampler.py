@@ -46,6 +46,11 @@ _AUTO_PROB_OUTCOMES = 4096
 
 _CHUNK = 1 << 16
 
+#: Uniforms drawn per chunk at most (32 MB of float64): wide readouts get
+#: fewer rows per chunk.  The stream is row-major, so rows drawn in smaller
+#: chunks are the same numbers.
+_CHUNK_UNIFORMS = 1 << 22
+
 
 class ZeroProbabilityError(ValueError):
     """Raised when conditioning on an outcome of (numerically) zero probability."""
@@ -319,7 +324,7 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
     mass_lost = 0.0
     remaining = sample_count
     while remaining > 0:
-        chunk = min(remaining, _CHUNK)
+        chunk = min(remaining, _CHUNK, max(_CHUNK_UNIFORMS // m, 1))
         uniforms = rng.random((chunk, m))
         env = np.broadcast_to(env0, (chunk, env0.size)).copy()
         bits = np.empty((chunk, m), dtype=np.uint8)

@@ -326,11 +326,17 @@ def run_gate_sequence(
     if sequence.n != initial.n:
         raise ValueError("group register size does not match the state")
     cores = list(orthonormalize_right(orthonormalize_left(initial, LOSSLESS), policy).cores)
-    center = 0
+    center, last = 0, len(cores) - 1
+    ranks = [1] + [c.shape[2] for c in cores]
     history = []
     for group in sequence.groups:
+        lo, hi = group.span
+        # apply_window steps only between the old center and one site past its span
+        moved = range(max(min(center, lo - 1), 0), min(max(center, hi + 1), last) + 1)
         center = apply_window(cores, center, group, policy)
-        history.append((1,) + tuple(c.shape[2] for c in cores))
+        for i in moved:
+            ranks[i + 1] = cores[i].shape[2]
+        history.append(tuple(ranks))
     move_center(cores, center, 0)
     return RunResult(state=MPS(cores, right_orthonormal=True), rank_history=tuple(history))
 
@@ -579,11 +585,13 @@ class Builtin:
 
     ``arg`` names its single integer argument and ``example`` is a valid
     value for it; both are ``None`` when the circuit takes no argument.
-    ``build(arg)`` returns the :class:`Circuit`.
+    ``qubits(arg)`` is the register size the circuit acts on, known
+    without building it; ``build(arg)`` returns the :class:`Circuit`.
     """
 
     arg: str | None
     example: int | None
+    qubits: Callable[[int | None], int]
     build: Callable[[int | None], Circuit]
 
 
@@ -592,6 +600,10 @@ def _from_zeros(sequence: GateGroupSequence, readout=None, shor_base=None) -> Ci
     n = sequence.n
     readout = readout or tuple(range(1, n + 1))
     return Circuit(sequence, basis_state_mps([0] * n), readout, shor_base=shor_base)
+
+
+def _qfa(_) -> Circuit:
+    return _from_zeros(GateGroupSequence((full_adder_mpo(),), label="qfa"))
 
 
 def _qfa_network(count: int) -> Circuit:
@@ -607,14 +619,15 @@ def _simon(_) -> Circuit:
 #: Every builtin circuit by name.  Builders look catalog functions up as
 #: module globals when called, so a patched attribute is seen.
 BUILTINS: dict[str, Builtin] = {
-    "qfa": Builtin(
-        None, None, lambda _: _from_zeros(GateGroupSequence((full_adder_mpo(),), label="qfa"))
+    "qfa": Builtin(None, None, lambda _: 4, _qfa),
+    "qfa-network": Builtin("count", 2, lambda count: 3 * count + 1, _qfa_network),
+    "simon": Builtin(None, None, lambda _: 8, _simon),
+    "qft": Builtin("n", 8, lambda n: n, lambda n: _from_zeros(qft_sequence(n))),
+    "inverse-qft": Builtin("n", 8, lambda n: n, lambda n: _from_zeros(inverse_qft_sequence(n))),
+    "shor": Builtin(
+        "a", 7, lambda _: len(SHOR_INPUT) + target_register_size(SHOR_MODULUS),
+        lambda a: _from_zeros(shor_sequence(a), SHOR_INPUT, shor_base=a),
     ),
-    "qfa-network": Builtin("count", 2, _qfa_network),
-    "simon": Builtin(None, None, _simon),
-    "qft": Builtin("n", 8, lambda n: _from_zeros(qft_sequence(n))),
-    "inverse-qft": Builtin("n", 8, lambda n: _from_zeros(inverse_qft_sequence(n))),
-    "shor": Builtin("a", 7, lambda a: _from_zeros(shor_sequence(a), SHOR_INPUT, shor_base=a)),
 }
 
 

@@ -186,14 +186,16 @@ def _builtin_groups(op, path: str, n: int) -> tuple[MPO, ...]:
         raise _invalid(f"{path}.builtin", f"must be one of {known}, got {_got(name)}")
     params = _fields(op.get("params", {}), f"{path}.params", optional=(entry.arg,))
     arg = params.get(entry.arg)
-    # every embeddable builtin acts on at least as many qubits as its argument
-    if type(arg) is int and arg > n:
-        raise _invalid(f"{path}.params.{entry.arg}", f"builtin {name}({arg}) needs more than n={n} qubits")
+    # the register size is compared before the build; an argument that is
+    # missing, not an integer or below 1 is left to build_builtin's checks
+    if entry.arg is None or (type(arg) is int and arg >= 1):
+        qubits = entry.qubits(arg)
+        if qubits != n:
+            label = name if entry.arg is None else f"{name}({arg})"
+            where = path if entry.arg is None else f"{path}.params.{entry.arg}"
+            raise _invalid(where, f"builtin {label} acts on {qubits} qubits, not n={n}")
     with _reported_at(f"{path}.params"):
-        sequence = catalog.build_builtin(name, arg).sequence
-    if sequence.n != n:
-        raise _invalid(path, f"builtin {sequence.label} acts on {sequence.n} qubits, not n={n}")
-    return sequence.groups
+        return catalog.build_builtin(name, arg).sequence.groups
 
 
 def load_circuit_payload(payload, label: str) -> catalog.Circuit:

@@ -11,6 +11,12 @@ exception: they replace entries of a caller-owned list of state cores in
 place, so an executor can keep one chain in mixed-canonical form across
 many operators.  ``move_center`` is the one sweep loop: orthonormalization,
 compression and the re-rounding of an applied window all run through it.
+At the small ranks of the catalog circuits the Python around each tiny
+matrix costs as much as the arithmetic, so ``svd_step`` calls numpy's
+thin-SVD gufunc directly (the call ``np.linalg.svd(...,
+full_matrices=False)`` makes for complex input), and ``move_center`` enters
+one ``np.errstate`` per sweep, not one per SVD, that turns a failed or NaN
+SVD into ``numpy.linalg.LinAlgError``.
 
 An operator stores only the cores of the sites it acts on, its window
 ``MPO.span``, plus the register size ``MPO.n``; it is the identity on every
@@ -33,6 +39,7 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 DEFAULT_DENSE_CAP = 2 ** 20
 
@@ -78,12 +85,13 @@ class TruncationPolicy:
             raise ValueError(f"max_rank must be an integer >= 1 or None, got {self.max_rank!r}")
 
     def keep_count(self, singular_values: np.ndarray) -> int:
-        smax = singular_values[0] if singular_values.size else 0.0
+        values = singular_values.tolist()  # Python floats: no ufunc per site step
+        smax = values[0] if values else 0.0
         if smax <= 0.0:
             keep = 1
         else:
-            keep = int(np.count_nonzero(singular_values > self.rel_threshold * smax))
-            keep = max(keep, 1)
+            cut = self.rel_threshold * smax
+            keep = max(sum(1 for v in values if v > cut), 1)
         if self.max_rank is not None:
             keep = min(keep, self.max_rank)
         return keep
@@ -292,7 +300,11 @@ def apply_core(op_core: np.ndarray, core: np.ndarray) -> np.ndarray:
     operator's bond varying slowest.  Serves operator-state (order-3
     ``core``) and operator-operator (order-4) products alike.
     """
-    out = np.tensordot(op_core, core, axes=([2], [1]))  # (K, x, L, k, [y,] l)
+    # np.tensordot(op_core, core, axes=([2], [1])) written out: the same
+    # operand layouts reach the same np.dot, without tensordot's axis handling
+    K, x, z, L = op_core.shape
+    out = np.dot(op_core.swapaxes(2, 3).reshape(-1, z), core.swapaxes(0, 1).reshape(core.shape[1], -1))
+    out = out.reshape(K, x, L, core.shape[0], *core.shape[2:])  # (K, x, L, k, [y,] l)
     last = out.ndim - 1
     out = out.transpose(0, 3, 1, *range(4, last), 2, last)
     s = out.shape
@@ -400,9 +412,20 @@ def _left_fold(mat: np.ndarray, r: int, d: int) -> np.ndarray:
     return mat.reshape(r, d, mat.shape[1], order="F")
 
 
+#: The LAPACK gufunc behind ``np.linalg.svd(mat, full_matrices=False)``,
+#: called with the signature that wrapper picks for complex input.
+_SVD = _umath_linalg.svd_s
+
+
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
 def _truncated_svd(mat: np.ndarray, policy: TruncationPolicy):
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
+    u, s, vh = _SVD(mat, signature="D->DdD")
     keep = policy.keep_count(s)
+    if keep == len(s):
+        return u, s, vh
     return u[:, :keep], s[:keep], vh[:keep, :]
 
 
@@ -542,7 +565,8 @@ def svd_step(cores: list, i: int, step: int, policy: TruncationPolicy) -> None:
 
     Core ``i`` becomes left- (+1) or right-orthonormal (-1) with the bond
     to the neighbour cut by ``policy``; the singular values and the other
-    factor move into the neighbour.
+    factor move into the neighbour.  Run it through :func:`move_center`,
+    whose errstate raises ``LinAlgError`` where the SVD fails.
     """
     r, d, s = cores[i].shape
     if step > 0:
@@ -557,10 +581,13 @@ def svd_step(cores: list, i: int, step: int, policy: TruncationPolicy) -> None:
 
 def move_center(cores: list, center: int, target: int, policy: TruncationPolicy = LOSSLESS) -> int:
     """Steps from ``center`` to ``target``, each bond on the way cut by
-    ``policy``; returns ``target``.  The one sweep loop of the module."""
+    ``policy``; returns ``target``.  The one sweep loop of the module.
+    Raises ``numpy.linalg.LinAlgError`` if an SVD fails to converge or
+    meets a NaN."""
     step = 1 if target > center else -1
-    for i in range(center, target, step):
-        svd_step(cores, i, step, policy)
+    with np.errstate(invalid="call", call=_svd_failed):
+        for i in range(center, target, step):
+            svd_step(cores, i, step, policy)
     return target
 
 

@@ -235,6 +235,32 @@ def test_seed_determinism_and_independence_of_sample_count():
         assert all(count <= large.counts.get(key, 0) for key, count in small.counts.items())
 
 
+@pytest.mark.parametrize("cap", [7 * 1000 + 3, 5])
+def test_uniform_cap_splits_chunks_without_changing_samples(monkeypatch, cap):
+    state = tc.random_mps(7, 3, seed=4)
+    plan = bs.MeasurementPlan(measured=tuple(range(1, 8)), sample_count=3000, seed=13)
+    whole = bs.sample(state, plan)
+    shapes = []
+    default_rng = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def random(self, shape):
+            shapes.append(shape)
+            return self.rng.random(shape)
+
+    monkeypatch.setattr(bs, "_CHUNK_UNIFORMS", cap)
+    monkeypatch.setattr(bs.np.random, "default_rng", Recording)
+    split = bs.sample(state, plan)
+    # 1000 rows of 7 per chunk; a cap below one row still draws one row
+    rows = max(cap // 7, 1)
+    assert [s[0] for s in shapes] == [rows] * (3000 // rows) + ([3000 % rows] if 3000 % rows else [])
+    assert split.counts == whole.counts
+    assert split.to_csv_text() == whole.to_csv_text()
+
+
 def test_frequencies_converge_to_marginal():
     state = tc.random_mps(6, 4, seed=33)
     plan = bs.MeasurementPlan(measured=tuple(range(1, 7)), sample_count=100_000, seed=1)

@@ -428,6 +428,59 @@ def test_groups_stay_inside_their_span(sequence, spans):
             assert cores[i] is before[i], (group.span, i)
 
 
+def _ghz_circuit(bits, projected=()):
+    """The gate-by-gate GHZ chain of the ghz-gates benchmark on a basis input,
+    then a projector onto |1> on each ``projected`` qubit."""
+    n = len(bits)
+    placements = [GatePlacement(HADAMARD, 1)] + [GatePlacement(PAULI_X, q + 1, (q,)) for q in range(1, n)]
+    placements += [GatePlacement(CONTROL_1, q) for q in projected]
+    sequence = cat.GateGroupSequence(tuple(p.to_mpo(n) for p in placements))
+    return sequence, tc.basis_state_mps([int(b) for b in bits]), tc.DEFAULT_POLICY
+
+
+def _rank_history_cases():
+    for name, entry in cat.BUILTINS.items():
+        args = cat.SHOR_BASES if name == "shor" else [None] if entry.arg is None else [entry.example, 13]
+        for arg in args:
+            yield pytest.param(name, arg, id=name if arg is None else f"{name}({arg})")
+    rng = np.random.default_rng(8)
+    for n in (50, 200, 800):
+        yield pytest.param("ghz", "".join(map(str, rng.integers(0, 2, n))), id=f"ghz({n})")
+    # a projector drops the bonds on both sides of its qubit, outside its span
+    yield pytest.param("ghz-projected", "0" * 12, id="ghz(12)-projected")
+
+
+@pytest.mark.parametrize("name, arg", _rank_history_cases())
+def test_rank_history_is_the_full_profile_after_every_group(monkeypatch, name, arg):
+    # run_gate_sequence re-reads only the bonds a group can move; the profile
+    # must equal the whole chain's, read after every group
+    if name.startswith("ghz"):
+        sequence, initial, policy = _ghz_circuit(arg, (9, 3, 6) if name == "ghz-projected" else ())
+    else:
+        circuit = cat.build_builtin(name, arg)
+        sequence, initial, policy = circuit.sequence, circuit.initial, circuit.policy
+    profiles = []
+    apply_window = cat.apply_window
+
+    def recording(cores, center, op, policy):
+        center = apply_window(cores, center, op, policy)
+        profiles.append((1,) + tuple(c.shape[2] for c in cores))
+        return center
+
+    monkeypatch.setattr(cat, "apply_window", recording)
+    run = cat.run_gate_sequence(sequence, initial, policy)
+    assert len(profiles) == len(sequence.groups)
+    assert run.rank_history == tuple(profiles)
+
+
+@pytest.mark.parametrize("name", list(cat.BUILTINS))
+def test_builtins_declare_their_register_size(name):
+    entry = cat.BUILTINS[name]
+    args = cat.SHOR_BASES if name == "shor" else [None] if entry.arg is None else [entry.example, 1, 5]
+    for arg in args:
+        assert entry.qubits(arg) == cat.build_builtin(name, arg).initial.n, (name, arg)
+
+
 # ---------------------------------------------------------------------------
 # factoring
 

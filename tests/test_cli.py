@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -19,7 +20,7 @@ from mpoq import cli
 from mpoq import dense_oracle as oracle
 from mpoq.born_sampler import MeasurementPlan, ZeroProbabilityError, sample
 from mpoq.gate_library import HADAMARD, PAULI_X, GatePlacement, phase_shift, phase_shift_k
-from mpoq.tensor_core import MPO
+from mpoq.tensor_core import MPO, MPS
 
 
 def run_cli(args, capsys):
@@ -166,6 +167,18 @@ def test_exact_output_above_dense_cap_exits_2(capsys):
     assert "--samples" in err and "--measure" in err
 
 
+def test_nan_state_exits_3_with_one_line_and_no_warning(monkeypatch, capsys):
+    circuit = catalog.build_builtin("qft", 3)
+    cores = [core.copy() for core in circuit.initial.cores]
+    cores[1][0, 0, 0] = np.nan
+    monkeypatch.setattr(cli, "load_builtin", lambda text: replace(circuit, initial=MPS(cores)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run_cli(["simulate", "--builtin", "qft(3)"], capsys)
+    assert code == cli.EXIT_NUMERICAL
+    assert err == "error: numerical failure: SVD did not converge\n"
+
+
 def test_schema_rejects_malformed_circuit(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"n": 2, "ops": [{"gate": "h"}]}))
@@ -267,6 +280,30 @@ def test_oversized_embedded_builtin_is_rejected_before_it_is_built(tmp_path, mon
     assert err.count("\n") == 1, err
 
 
+@pytest.mark.parametrize(
+    "n, op, where, message",
+    [
+        (1200, {"builtin": "qft", "params": {"n": 1000}}, ".params.n", "qft(1000) acts on 1000"),
+        (4, {"builtin": "inverse-qft", "params": {"n": 3}}, ".params.n", "inverse-qft(3) acts on 3"),
+        (8, {"builtin": "qfa-network", "params": {"count": 2}}, ".params.count", "qfa-network(2) acts on 7"),
+        (5, {"builtin": "qfa"}, "", "qfa acts on 4"),
+        (9, {"builtin": "simon", "params": {}}, "", "simon acts on 8"),
+    ],
+)
+def test_mismatched_embedded_builtin_is_rejected_before_it_is_built(
+    tmp_path, monkeypatch, capsys, n, op, where, message
+):
+    def build_builtin(name, arg=None):
+        raise AssertionError(f"built {name}({arg})")
+
+    monkeypatch.setattr(catalog, "build_builtin", build_builtin)
+    path = tmp_path / "circuit.json"
+    path.write_text(json.dumps({"n": n, "ops": [op]}))
+    code, _, err = run_cli(["simulate", "--circuit", str(path)], capsys)
+    assert code == cli.EXIT_SCHEMA
+    assert err == f"error: circuit description invalid: ops[0]{where}: builtin {message} qubits, not n={n}\n"
+
+
 def test_payloads_the_schema_accepted_still_run(tmp_path, capsys):
     controlled = [
         _gate("h", 1, controls=[2]),
@@ -313,7 +350,7 @@ def test_cli_needs_no_jsonschema():
     )
     assert result.returncode == 0, result.stderr
     block = re.search(r"^dependencies = \[(.*?)\]", (root / "pyproject.toml").read_text(), re.M | re.S)
-    assert re.findall(r'"([^"]+)"', block.group(1)) == ["numpy>=1.24"]
+    assert re.findall(r'"([^"]+)"', block.group(1)) == ["numpy>=2.0"]
 
 
 def test_custom_circuit_bell_state(tmp_path, capsys):

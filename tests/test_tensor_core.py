@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -484,3 +485,109 @@ def test_diag_mpo_dense_is_diagonal():
     assert_allclose(np.diag(dense), state.to_dense(), atol=1e-12)
     assert_allclose(dense - np.diag(np.diag(dense)), 0.0, atol=1e-14)
 
+
+
+# ---------------------------------------------------------------------------
+# site kernels against a reference written with np.linalg.svd and np.tensordot
+
+
+def _reference_keep_count(policy, s):
+    smax = s[0] if s.size else 0.0
+    keep = 1 if smax <= 0.0 else max(int(np.count_nonzero(s > policy.rel_threshold * smax)), 1)
+    return keep if policy.max_rank is None else min(keep, policy.max_rank)
+
+
+def _reference_svd_step(cores, i, step, policy):
+    r, d, s = cores[i].shape
+    mat = cores[i].reshape(r * d, s, order="F") if step > 0 else cores[i].reshape(r, d * s, order="F")
+    u, sv, vh = np.linalg.svd(mat, full_matrices=False)
+    keep = _reference_keep_count(policy, sv)
+    u, sv, vh = u[:, :keep], sv[:keep], vh[:keep, :]
+    if step > 0:
+        cores[i] = u.reshape(r, d, keep, order="F")
+        right = cores[i + 1]
+        q = sv[:, None] * vh
+        cores[i + 1] = (q @ right.reshape(right.shape[0], -1)).reshape(keep, *right.shape[1:])
+    else:
+        cores[i] = vh.reshape(keep, d, s, order="F")
+        cores[i - 1] = cores[i - 1] @ (u * sv)
+
+
+def _reference_apply_core(op_core, core):
+    out = np.tensordot(op_core, core, axes=([2], [1]))
+    last = out.ndim - 1
+    out = out.transpose(0, 3, 1, *range(4, last), 2, last)
+    s = out.shape
+    return out.reshape(s[0] * s[1], *s[2:-2], s[-2] * s[-1])
+
+
+def _same_bytes(got, want):
+    return got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+def _random_core(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _kernel_chains():
+    """Three-core chains with d in {2, 4} and bonds 1..8; every third middle
+    core has a numerically rank-one unfolding, so noise is cut as well."""
+    rng = np.random.default_rng(4711)
+    for k in range(36):
+        d = (2, 4)[k % 2]
+        r0, r1, r2, r3 = rng.integers(1, 9, 4)
+        middle = _random_core(rng, r1, d, r2)
+        if k % 3 == 0:
+            middle = np.einsum("a,bc->abc", _random_core(rng, r1), _random_core(rng, d, r2))
+        yield [_random_core(rng, r0, d, r1), middle, _random_core(rng, r2, d, r3)]
+
+
+@pytest.mark.parametrize(
+    "policy",
+    [tc.DEFAULT_POLICY, tc.LOSSLESS, tc.TruncationPolicy(max_rank=1)],
+    ids=["default", "lossless", "max-rank-1"],
+)
+@pytest.mark.parametrize("step", [1, -1])
+def test_svd_step_is_byte_equal_to_the_numpy_reference(policy, step):
+    cut = 0
+    for chain in _kernel_chains():
+        got, want = list(chain), list(chain)
+        tc.svd_step(got, 1, step, policy)
+        _reference_svd_step(want, 1, step, policy)
+        assert all(_same_bytes(g, w) for g, w in zip(got, want))
+        cut += got[1].shape[0 if step < 0 else 2] < chain[1].shape[0 if step < 0 else 2]
+    assert cut > 0  # some steps truncate under every policy
+
+
+def test_keep_count_matches_the_numpy_reference():
+    rng = np.random.default_rng(12)
+    policies = [tc.DEFAULT_POLICY, tc.LOSSLESS, tc.TruncationPolicy(0.3, 2), tc.TruncationPolicy(0.5)]
+    samples = [np.zeros(0), np.zeros(3), np.array([2.0, 1.0, 1.0, 0.0]), np.array([1.0, 1e-13, 1e-12])]
+    samples += [np.sort(rng.random(int(rng.integers(1, 9))))[::-1] for _ in range(40)]
+    for policy in policies:
+        for s in samples:
+            assert policy.keep_count(s) == _reference_keep_count(policy, s), (policy, s)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_apply_core_is_byte_equal_to_tensordot(order):
+    rng = np.random.default_rng(99)
+    for _ in range(40):
+        d = int(rng.choice([2, 4]))
+        op_left, op_right, left, right = rng.integers(1, 9, 4)
+        op_core = _random_core(rng, op_left, d, d, op_right)
+        core = _random_core(rng, left, *(d,) * (order - 2), right)
+        assert _same_bytes(tc.apply_core(op_core, core), _reference_apply_core(op_core, core))
+
+
+@pytest.mark.parametrize("center, target", [(0, 3), (3, 0)])
+def test_nan_core_raises_linalg_error_without_warning(center, target):
+    cores = list(tc.random_mps(4, 2, seed=3).cores)
+    cores[2] = cores[2].copy()
+    cores[2][0, 1, 0] = np.nan
+    before = np.geterr()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            tc.move_center(cores, center, target)
+    assert np.geterr() == before  # the sweep's errstate is left on the way out

@@ -41,32 +41,13 @@ from .tensor_core import (
     TruncationPolicy,
     apply_window,
     basis_state_mps,
+    block_core,
     compress_mpo,
     move_center,
     mpo_add,
     orthonormalize_left,
     orthonormalize_right,
 )
-
-
-def _row(mats) -> np.ndarray:
-    """(1, 2, 2, k) core from a list of 2x2 blocks."""
-    return np.stack([np.asarray(m, dtype=np.complex128) for m in mats], axis=-1)[None]
-
-
-def _col(mats) -> np.ndarray:
-    """(k, 2, 2, 1) core from a list of 2x2 blocks."""
-    return np.stack([np.asarray(m, dtype=np.complex128) for m in mats], axis=0)[..., None]
-
-
-def _block(rows) -> np.ndarray:
-    """(len(rows), 2, 2, len(rows[0])) core; ``None`` entries are zero blocks."""
-    out = np.zeros((len(rows), 2, 2, len(rows[0])), dtype=np.complex128)
-    for i, row in enumerate(rows):
-        for j, m in enumerate(row):
-            if m is not None:
-                out[i, :, :, j] = m
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -82,19 +63,19 @@ def full_adder_mpo() -> MPO:
     """
     sx = PAULI_X
     return MPO([
-        _row([sx @ CONTROL_0, IDENTITY, sx @ CONTROL_1]),
-        _block([
+        block_core([[sx @ CONTROL_0, IDENTITY, sx @ CONTROL_1]]),
+        block_core([
             [CONTROL_0, CONTROL_1, None, None],
             [None, CONTROL_0, CONTROL_1, None],
             [None, None, CONTROL_0, CONTROL_1],
         ]),
-        _block([
+        block_core([
             [CONTROL_1, None],
             [CONTROL_0, None],
             [None, CONTROL_1],
             [None, CONTROL_0],
         ]),
-        _col([IDENTITY, sx]),
+        block_core([[IDENTITY], [sx]]),
     ])
 
 
@@ -113,12 +94,8 @@ def adder_coupling_core() -> np.ndarray:
     """Shared-qubit core fusing one adder's carry-out into the next carry-in."""
     adder = full_adder_mpo()
     first, last = adder.cores[0], adder.cores[3]
-    core = np.zeros((2, 2, 2, 3), dtype=np.complex128)
-    for k in range(2):
-        for l in range(3):
-            # next adder acts after the previous one on the shared qubit
-            core[k, :, :, l] = first[0, :, :, l] @ last[k, :, :, 0]
-    return core
+    # next adder acts after the previous one on the shared qubit
+    return block_core([[first[0, :, :, l] @ last[k, :, :, 0] for l in range(3)] for k in range(2)])
 
 
 def full_adder_network_mpo(count: int) -> MPO:
@@ -195,14 +172,14 @@ def simon_circuit_mpo() -> MPO:
     b = HADAMARD @ CONTROL_1 @ HADAMARD
     sx = PAULI_X
     return MPO([
-        _row([a, b]),
-        _block([[IDENTITY, None], [None, IDENTITY]]),
-        _block([[a, b, None, None], [None, None, a, b]]),
-        _block([[IDENTITY, None], [sx, None], [None, IDENTITY], [None, sx]]),
-        _block([[a, b], [b, a]]),
-        _col([IDENTITY, sx]),
-        _row([a, b]),
-        _col([IDENTITY, sx]),
+        block_core([[a, b]]),
+        block_core([[IDENTITY, None], [None, IDENTITY]]),
+        block_core([[a, b, None, None], [None, None, a, b]]),
+        block_core([[IDENTITY, None], [sx, None], [None, IDENTITY], [None, sx]]),
+        block_core([[a, b], [b, a]]),
+        block_core([[IDENTITY], [sx]]),
+        block_core([[a, b]]),
+        block_core([[IDENTITY], [sx]]),
     ])
 
 
@@ -238,10 +215,10 @@ def qft_group_mpo(i: int, n: int) -> MPO:
         raise ValueError(f"group index {i} outside [1, {n}]")
     if i == n:
         return MPO.embed([HADAMARD[None, :, :, None]], n - 1, n)
-    cores = [_row([_QFT_TOP_0, _QFT_TOP_1])]
+    cores = [block_core([[_QFT_TOP_0, _QFT_TOP_1]])]
     for j in range(i + 1, n):
-        cores.append(_block([[IDENTITY, None], [None, phase_shift_k(j - i + 1)]]))
-    cores.append(_col([IDENTITY, phase_shift_k(n - i + 1)]))
+        cores.append(block_core([[IDENTITY, None], [None, phase_shift_k(j - i + 1)]]))
+    cores.append(block_core([[IDENTITY], [phase_shift_k(n - i + 1)]]))
     return MPO.embed(cores, i - 1, n)
 
 

@@ -253,15 +253,16 @@ def load_builtin(text: str) -> catalog.Circuit:
 
 
 def _parse_positions(text: str, n: int) -> tuple[int, ...]:
-    """Sorted positions from ``all`` or a list like ``1,3,5-8``; a range that
-    runs backwards, a position outside ``[1, n]`` or one given twice is an error."""
+    """Sorted positions from ``all`` or a list like ``1,3,5-8``; an empty
+    entry, a range that runs backwards, a position outside ``[1, n]`` or one
+    given twice is an error."""
     if text.strip().lower() == "all":
         return tuple(range(1, n + 1))
     positions: list[int] = []
     for part in text.split(","):
         part = part.strip()
         if not part:
-            continue
+            raise CircuitSpecError(f"empty entry in position list {text!r}")
         lo, dash, hi = part.partition("-")
         try:
             lo = int(lo)
@@ -273,8 +274,6 @@ def _parse_positions(text: str, n: int) -> tuple[int, ...]:
         if lo < 1 or hi > n:
             raise CircuitSpecError(f"positions {part!r} outside register [1, {n}]")
         positions.extend(range(lo, hi + 1))
-    if not positions:
-        raise CircuitSpecError(f"empty position list {text!r}")
     out = tuple(sorted(positions))
     if len(set(out)) != len(out):
         raise CircuitSpecError(f"position list {text!r} names a qubit more than once")
@@ -286,7 +285,7 @@ def _parse_postselect(text: str, n: int) -> dict[int, int]:
     for part in text.split(","):
         part = part.strip()
         if not part:
-            continue
+            raise CircuitSpecError(f"empty entry in postselect list {text!r}")
         pos, _, bit = part.partition("=")
         try:
             pos, bit = int(pos), int(bit)

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import MPO
+from .tensor_core import MPO, block_core
 
 IDENTITY = np.eye(2, dtype=np.complex128)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
@@ -94,19 +94,13 @@ def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
     lo, hi = min(involved), max(involved)
     cores = []
     for q in range(lo, hi + 1):
+        block = involved.get(q, IDENTITY)
         if q == lo:
-            core = np.zeros((1, 2, 2, 2), dtype=np.complex128)
-            core[0, :, :, 0] = IDENTITY
-            core[0, :, :, 1] = involved[q]
+            cores.append(block_core([[IDENTITY, block]]))
         elif q == hi:
-            core = np.zeros((2, 2, 2, 1), dtype=np.complex128)
-            core[0, :, :, 0] = IDENTITY
-            core[1, :, :, 0] = involved[q]
+            cores.append(block_core([[IDENTITY], [block]]))
         else:
-            core = np.zeros((2, 2, 2, 2), dtype=np.complex128)
-            core[0, :, :, 0] = IDENTITY
-            core[1, :, :, 1] = involved.get(q, IDENTITY)
-        cores.append(core)
+            cores.append(block_core([[IDENTITY, None], [None, block]]))
     return MPO.embed(cores, lo - 1, n)
 
 

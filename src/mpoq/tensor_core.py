@@ -315,65 +315,68 @@ def apply_core(op_core: np.ndarray, core: np.ndarray) -> np.ndarray:
 # construction helpers
 
 
-def basis_state_mps(bits) -> MPS:
-    """Rank-one MPS for a computational basis state (first bit most significant)."""
-    bits = list(bits)
-    if not bits:
-        raise ValueError("empty bit list")
-    cores = []
-    for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {b!r}")
-        core = np.zeros((1, 2, 1), dtype=np.complex128)
-        core[0, b, 0] = 1.0
-        cores.append(core)
-    return MPS(cores, right_orthonormal=True)
+def block_core(rows) -> np.ndarray:
+    """The core ``(len(rows), *block, len(rows[0]))`` whose bond block
+    ``(i, j)`` is ``rows[i][j]``: a ket for a state core, a square matrix for
+    an operator core, ``None`` for a zero block."""
+    shape = next(np.shape(block) for row in rows for block in row if block is not None)
+    core = np.zeros((len(rows), *shape, len(rows[0])), dtype=np.complex128)
+    for i, row in enumerate(rows):
+        for j, block in enumerate(row):
+            if block is not None:
+                core[i, ..., j] = block
+    return core
 
 
 _KET0 = np.array([1.0, 0.0], dtype=np.complex128)
 _KET1 = np.array([0.0, 1.0], dtype=np.complex128)
 
 
+def basis_state_mps(bits) -> MPS:
+    """Rank-one MPS for a computational basis state (first bit most significant)."""
+    bits = list(bits)
+    if not bits:
+        raise ValueError("empty bit list")
+    for b in bits:
+        if b not in (0, 1):
+            raise ValueError(f"bits must be 0 or 1, got {b!r}")
+    kets = (block_core([[_KET0]]), block_core([[_KET1]]))
+    return MPS([kets[b] for b in bits], right_orthonormal=True)
+
+
+#: The last core of each Bell state as its two blocks; ``0.0 - ket`` leaves
+#: the zero entries unsigned, where ``-ket`` would make them -0.0.
+_BELL_LAST = {
+    "bell_phi_plus": (_KET0, _KET1),
+    "bell_phi_minus": (_KET0, 0.0 - _KET1),
+    "bell_psi_plus": (_KET1, _KET0),
+    "bell_psi_minus": (_KET1, 0.0 - _KET0),
+}
+
+
 def named_state_mps(name: str, n: int) -> MPS:
     """Factory for well-known entangled states (normalized).
 
-    Supported names: ``ghz``, ``w``, ``bell_phi_plus``, ``bell_phi_minus``,
-    ``bell_psi_plus``, ``bell_psi_minus``.  The Bell states require ``n=2``;
-    the W state has bond dimension 2.
+    Supported names, matched exactly: ``ghz``, ``w``, ``bell_phi_plus``,
+    ``bell_phi_minus``, ``bell_psi_plus``, ``bell_psi_minus``.  The Bell
+    states require ``n=2``; the W state has bond dimension 2.
     """
-    key = name.strip().lower()
     if n < 2:
         raise ValueError("named entangled states need n >= 2")
-    if key == "ghz":
-        first = np.zeros((1, 2, 2), dtype=np.complex128)
-        first[0, 0, 0] = first[0, 1, 1] = 1.0 / np.sqrt(2.0)
-        mid = np.zeros((2, 2, 2), dtype=np.complex128)
-        mid[0, 0, 0] = mid[1, 1, 1] = 1.0
-        last = np.zeros((2, 2, 1), dtype=np.complex128)
-        last[0, 0, 0] = last[1, 1, 0] = 1.0
-        return MPS([first] + [mid] * (n - 2) + [last])
-    if key == "w":
-        first = np.zeros((1, 2, 2), dtype=np.complex128)
-        first[0, 1, 0] = first[0, 0, 1] = 1.0 / np.sqrt(n)
-        mid = np.zeros((2, 2, 2), dtype=np.complex128)
-        mid[0, 0, 0] = 1.0
-        mid[1, 1, 0] = mid[1, 0, 1] = 1.0
-        last = np.zeros((2, 2, 1), dtype=np.complex128)
-        last[0, 0, 0] = 1.0
-        last[1, 1, 0] = 1.0
-        return MPS([first] + [mid] * (n - 2) + [last])
-    if key in ("bell_phi_plus", "bell_phi_minus", "bell_psi_plus", "bell_psi_minus"):
-        if n != 2:
-            raise ValueError("Bell states are two-qubit states")
-        sign = 1.0 if key.endswith("plus") else -1.0
-        flip = int(key.startswith("bell_psi"))
-        first = np.zeros((1, 2, 2), dtype=np.complex128)
-        first[0, 0, 0] = first[0, 1, 1] = 1.0 / np.sqrt(2.0)
-        last = np.zeros((2, 2, 1), dtype=np.complex128)
-        last[0, flip, 0] = 1.0
-        last[1, 1 - flip, 0] = sign
-        return MPS([first, last])
-    raise ValueError(f"unknown state name {name!r}")
+    if name not in ("ghz", "w", *_BELL_LAST):
+        raise ValueError(f"unknown state name {name!r}; known: ghz, w, {', '.join(_BELL_LAST)}")
+    if name in _BELL_LAST and n != 2:
+        raise ValueError("Bell states are two-qubit states")
+    if name == "w":
+        amp = 1.0 / np.sqrt(n)
+        first = block_core([[_KET1 * amp, _KET0 * amp]])
+        mid = block_core([[_KET0, None], [_KET1, _KET0]])
+    else:  # a Bell state is the two-site GHZ chain with its own last core
+        amp = 1.0 / np.sqrt(2.0)
+        first = block_core([[_KET0 * amp, _KET1 * amp]])
+        mid = block_core([[_KET0, None], [None, _KET1]])
+    top, bottom = _BELL_LAST.get(name, (_KET0, _KET1))
+    return MPS([first] + [mid] * (n - 2) + [block_core([[top], [bottom]])])
 
 
 def random_mps(n: int, max_rank: int, seed=None, d: int = 2) -> MPS:

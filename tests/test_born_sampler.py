@@ -273,6 +273,21 @@ def test_frequencies_converge_to_marginal():
     assert tv <= 0.01
 
 
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_sampling_behind_an_unmeasured_prefix_matches_dense_oracle(seed):
+    # qubits 1-2 are neither measured nor postselected: their transfer
+    # matrices make the starting environment of every draw
+    state = tc.orthonormalize_right(tc.random_mps(7, 4, seed=seed))
+    plan = bs.MeasurementPlan(measured=(3, 5, 6), sample_count=200_000, seed=seed)
+    report = bs.sample(state, plan)
+    exact = exact_marginal_via_oracle(state, plan.measured).reshape(-1)
+    freq = np.zeros(8)
+    for key, count in report.counts.items():
+        freq[int(key, 2)] = count / plan.sample_count
+    assert 0.5 * np.abs(freq - exact).sum() <= 0.01
+    assert bs.sample(state, plan).to_csv_text() == report.to_csv_text()
+
+
 def test_sampling_subset_of_qubits():
     state = cat.simon_circuit_mpo().apply(tc.basis_state_mps([0] * 8))
     plan = bs.MeasurementPlan(measured=cat.SIMON_FIRST_REGISTER, sample_count=20_000, seed=17)

@@ -1,5 +1,8 @@
 """Unit tests for the closed-form circuit builders and the executor."""
 
+import hashlib
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -303,6 +306,8 @@ def test_run_gate_sequence_normalization_and_mismatch():
     assert run.state.norm() == pytest.approx(1.0, abs=1e-10)
     with pytest.raises(ValueError):
         cat.run_gate_sequence(cat.qft_sequence(5), tc.basis_state_mps([0] * 4))
+    with pytest.raises(ValueError, match="share the register"):
+        cat.GateGroupSequence(cat.qft_sequence(4).groups + cat.qft_sequence(5).groups)
 
 
 def full_sweep_run(groups, state, policy=tc.DEFAULT_POLICY):
@@ -639,3 +644,49 @@ def test_shor_run_supports_and_ranks():
     assert max(result.final_ranks) == 2
     for _, p in result.distribution:
         assert p == pytest.approx(0.5, abs=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# closed-form core bytes
+
+
+def _closed_form_cores():
+    """Every core the library writes in closed form, in a fixed order."""
+    for n in range(2, 8):
+        for name in ("ghz", "w"):
+            yield from tc.named_state_mps(name, n).cores
+    for name in ("bell_phi_plus", "bell_phi_minus", "bell_psi_plus", "bell_psi_minus"):
+        yield from tc.named_state_mps(name, 2).cores
+    for bits in itertools.product((0, 1), repeat=3):
+        yield from tc.basis_state_mps(bits).cores
+    for n in range(2, 7):
+        for count in (1, 2):
+            for positions in itertools.permutations(range(1, n + 1), count + 1):
+                for matrix in (PAULI_X, HADAMARD, phase_shift_k(3)):
+                    yield from controlled_mpo(positions[1:], matrix, positions[0], n).cores
+    for count in range(1, 5):
+        yield from cat.full_adder_network_mpo(count).cores
+    yield cat.adder_coupling_core()
+    yield from cat.simon_circuit_mpo().cores
+    for group in cat.simon_gate_groups():
+        yield from group.cores
+    for n in range(1, 10):
+        for sequence in (cat.qft_sequence(n), cat.inverse_qft_sequence(n)):
+            for group in sequence.groups:
+                yield from group.cores
+    for a in cat.SHOR_BASES:
+        for group in cat.shor_sequence(a).groups:
+            yield from group.cores
+        yield from cat.shor_closed_form_mpo(a).cores
+
+
+def test_closed_form_cores_keep_their_bytes():
+    # sha256 over the shape and bytes of 4241 cores, recorded before the
+    # builders were written with block_core.  The values tests above allow a
+    # -0.0 where the recorded core has +0.0; this digest does not.
+    digest = hashlib.sha256()
+    for core in _closed_form_cores():
+        assert core.dtype == np.complex128
+        digest.update(repr(core.shape).encode())
+        digest.update(np.ascontiguousarray(core).tobytes())
+    assert digest.hexdigest() == "41b15fd012b02923bc32fb0e0cd6d3dcea9317aa67bbc2ce6d03c87c0bc671b1"

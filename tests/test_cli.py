@@ -88,13 +88,19 @@ def test_builtin_parsing_errors(tmp_path, capsys):
         ["simulate", "--builtin", "qfa", "--measure", "1,1"],
         ["simulate", "--builtin", "qfa", "--measure", "1-3,2"],
         ["simulate", "--builtin", "qfa", "--measure", "1-1000000000000"],
+        # an empty entry is an error, not skipped
+        ["simulate", "--builtin", "qfa", "--measure", "1,,3"],
+        ["simulate", "--builtin", "qfa", "--measure", "1", "--postselect", "2=0,"],
+        # a builtin name that does not parse
+        ["simulate", "--builtin", "qft(8"],
     ],
     ids=[
         "measure-x", "negative-samples", "postselect-measured", "zero-repeats",
         "postselect-twice", "simulate-negative-seed", "bench-negative-seed",
         "builtin-count-above-cap", "builtin-qft-above-cap", "bench-size-above-cap",
         "builtin-argument-digits", "measure-reversed-range", "measure-repeated",
-        "measure-overlapping-ranges", "measure-huge-range",
+        "measure-overlapping-ranges", "measure-huge-range", "measure-empty-entry",
+        "postselect-empty-entry", "builtin-unparsable",
     ],
 )
 def test_bad_command_line_exits_2(args, capsys):
@@ -215,12 +221,14 @@ MALFORMED = {
     "unknown-gate": ({"n": 2, "ops": [_gate("y", 1)]}, "ops[0].gate"),
     "control-zero": ({"n": 2, "ops": [_gate("cnot", 1, controls=[0])]}, "ops[0].controls[0]"),
     "controls-not-list": ({"n": 2, "ops": [_gate("cnot", 1, controls=2)]}, "ops[0].controls"),
+    "cnot-two-controls": ({"n": 3, "ops": [_gate("cnot", 3, controls=[1, 2])]}, "ops[0].controls"),
     "phi-string": ({"n": 1, "ops": [_gate("phase", 1, phi="x")]}, "ops[0].phi"),
     "k-zero": ({"n": 1, "ops": [_gate("rk", 1, k=0)]}, "ops[0].k"),
     "builtin-not-string": ({"n": 4, "ops": [{"builtin": 5}]}, "ops[0].builtin"),
     "params-not-object": ({"n": 4, "ops": [{"builtin": "qfa", "params": []}]}, "ops[0].params"),
     "basis-digits": ({"n": 3, "ops": [], "initial": {"basis": "012"}}, "initial.basis"),
     "named-not-string": ({"n": 2, "ops": [], "initial": {"named": 5}}, "initial.named"),
+    "named-not-exact": ({"n": 2, "ops": [], "initial": {"named": " GHZ"}}, "initial.named"),
     "initial-string": ({"n": 2, "ops": [], "initial": "ones"}, "initial"),
     "initial-two-keys": (
         {"n": 2, "ops": [], "initial": {"basis": "00", "named": "ghz"}}, "initial"

@@ -107,8 +107,6 @@ def full_adder_network_mpo(count: int) -> MPO:
     if count < 1:
         raise ValueError("network needs at least one adder")
     adder = full_adder_mpo()
-    if count == 1:
-        return adder
     coupling = adder_coupling_core()
     cores = [adder.cores[0], adder.cores[1], adder.cores[2]]
     for _ in range(count - 1):
@@ -297,10 +295,8 @@ def run_gate_sequence(
     right-orthonormal and directly samplable; with unitary groups and a
     normalized input it stays normalized.
     """
-    if not sequence.groups:
-        return RunResult(state=initial, rank_history=())
     # the sequence guarantees that all its groups share one register
-    if sequence.n != initial.n:
+    if sequence.groups and sequence.n != initial.n:
         raise ValueError("group register size does not match the state")
     cores = list(orthonormalize_right(orthonormalize_left(initial, LOSSLESS), policy).cores)
     center, last = 0, len(cores) - 1

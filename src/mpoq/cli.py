@@ -22,7 +22,7 @@ import re
 import statistics
 import sys
 import time
-from dataclasses import replace
+from dataclasses import asdict, replace
 
 import numpy as np
 
@@ -76,6 +76,15 @@ _GATES = {
 
 def _invalid(path: str, what: str) -> CircuitSpecError:
     return CircuitSpecError(f"circuit description invalid: {path}: {what}")
+
+
+@contextlib.contextmanager
+def _reported():
+    """Report a ``ValueError`` from the library as bad input (exit 2)."""
+    try:
+        yield
+    except ValueError as exc:
+        raise CircuitSpecError(str(exc)) from exc
 
 
 @contextlib.contextmanager
@@ -233,23 +242,38 @@ def load_circuit_payload(payload, label: str) -> catalog.Circuit:
     return catalog.Circuit(sequence, initial, tuple(range(1, n + 1)), policy)
 
 
-_BUILTIN_RE = re.compile(r"^([a-z-]+)(?:\((\d+)\))?$")
+#: a number typed on the command line: ASCII decimal digits only (no sign,
+#: underscore or other script), few enough for ``int()``'s 4,300-digit limit
+_NUMBER = r"([0-9]{1,4300})"
+
+_BUILTIN_RE = re.compile(rf"([a-z-]+)(?:\({_NUMBER}\))?", re.ASCII)
 
 
 def load_builtin(text: str) -> catalog.Circuit:
     """Resolve a builtin name like ``shor(7)`` into its registry circuit."""
-    match = _BUILTIN_RE.match(text.strip())
+    match = _BUILTIN_RE.fullmatch(text.strip())
     if not match:
-        raise CircuitSpecError(f"cannot parse builtin {text!r}")
-    name, arg = match.group(1), match.group(2)
-    try:
+        raise CircuitSpecError(f"cannot parse builtin {_got(text)}")
+    name, arg = match.groups()
+    with _reported():
         return catalog.build_builtin(name, int(arg) if arg is not None else None)
-    except ValueError as exc:
-        raise CircuitSpecError(str(exc)) from exc
 
 
 # ---------------------------------------------------------------------------
 # argument parsing helpers
+
+
+def _entries(text: str, what: str, pattern: str) -> list[tuple]:
+    """The match groups of each comma-separated entry of ``text``, stripped
+    and fully matched against the ASCII ``pattern``; an empty or
+    non-matching entry is an error naming it."""
+    groups = []
+    for entry in text.split(","):
+        match = re.fullmatch(pattern, entry.strip(), re.ASCII)
+        if match is None:
+            raise CircuitSpecError(f"bad {what} {_got(entry.strip())}")
+        groups.append(match.groups())
+    return groups
 
 
 def _parse_positions(text: str, n: int) -> tuple[int, ...]:
@@ -259,20 +283,12 @@ def _parse_positions(text: str, n: int) -> tuple[int, ...]:
     if text.strip().lower() == "all":
         return tuple(range(1, n + 1))
     positions: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise CircuitSpecError(f"empty entry in position list {text!r}")
-        lo, dash, hi = part.partition("-")
-        try:
-            lo = int(lo)
-            hi = int(hi) if dash else lo
-        except ValueError:
-            raise CircuitSpecError(f"bad position {part!r} in {text!r}") from None
+    for lo, hi in _entries(text, "position", rf"{_NUMBER}(?:\s*-\s*{_NUMBER})?"):
+        lo, hi = int(lo), int(hi or lo)
         if hi < lo:
-            raise CircuitSpecError(f"range {part!r} in {text!r} runs backwards")
+            raise CircuitSpecError(f"range {lo}-{hi} in {text!r} runs backwards")
         if lo < 1 or hi > n:
-            raise CircuitSpecError(f"positions {part!r} outside register [1, {n}]")
+            raise CircuitSpecError(f"position {lo if lo < 1 else hi} outside register [1, {n}]")
         positions.extend(range(lo, hi + 1))
     out = tuple(sorted(positions))
     if len(set(out)) != len(out):
@@ -281,22 +297,16 @@ def _parse_positions(text: str, n: int) -> tuple[int, ...]:
 
 
 def _parse_postselect(text: str, n: int) -> dict[int, int]:
+    """``{position: bit}`` from a list like ``2=0,4=1``; a position outside
+    ``[1, n]`` or given twice is an error."""
     assignment: dict[int, int] = {}
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            raise CircuitSpecError(f"empty entry in postselect list {text!r}")
-        pos, _, bit = part.partition("=")
-        try:
-            pos, bit = int(pos), int(bit)
-        except ValueError:
-            raise CircuitSpecError(f"postselect entry {part!r} must look like position=bit") from None
+    for pos, bit in _entries(text, "postselect entry", rf"{_NUMBER}\s*=\s*([01])"):
+        pos = int(pos)
+        if not 1 <= pos <= n:
+            raise CircuitSpecError(f"postselect position {pos} outside register [1, {n}]")
         if pos in assignment:
             raise CircuitSpecError(f"postselect position {pos} given more than once")
-        assignment[pos] = bit
-    for p, b in assignment.items():
-        if not 1 <= p <= n or b not in (0, 1):
-            raise CircuitSpecError(f"bad postselect entry {p}={b}")
+        assignment[pos] = int(bit)
     return assignment
 
 
@@ -320,15 +330,13 @@ def cmd_simulate(args) -> int:
     n = circuit.initial.n
     measured = _parse_positions(args.measure, n) if args.measure else circuit.readout
     postselect = _parse_postselect(args.postselect, n) if args.postselect else {}
-    try:
+    with _reported():
         plan = MeasurementPlan(
             measured=measured,
             sample_count=args.samples,
             seed=args.seed,
             postselect=postselect,
         )
-    except ValueError as exc:
-        raise CircuitSpecError(str(exc)) from exc
 
     run = catalog.run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
     try:
@@ -361,15 +369,7 @@ def _write_report(report: SampleReport, out: str | None, fmt: str, shor_rows) ->
         payload = report.to_json_dict()
         payload["version"] = __version__
         if shor_rows is not None:
-            payload["period_extraction"] = [
-                {
-                    "y": row.y,
-                    "period": row.period,
-                    "factors": list(row.factors) if row.factors else None,
-                    "failure": row.failure,
-                }
-                for row in shor_rows
-            ]
+            payload["period_extraction"] = [asdict(row) for row in shor_rows]
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     with open(out, "w", encoding="utf-8") as handle:
         handle.write(text)
@@ -404,11 +404,12 @@ def _print_summary(circuit: catalog.Circuit, run, report: SampleReport, shor_row
 
 
 def cmd_bench(args) -> int:
-    sizes = [s.strip() for s in args.sizes.split(",")] if args.sizes else [""]
+    sizes = [int(size) for (size,) in _entries(args.sizes, "size", _NUMBER)] if args.sizes else [None]
     lines = ["builtin,size,n_qubits,samples,repeats,mean_seconds,std_seconds,max_rank,rank_trajectory"]
     for size in sizes:
         times = []
-        circuit = load_builtin(f"{args.builtin}({size})" if size else args.builtin)
+        with _reported():
+            circuit = catalog.build_builtin(args.builtin, size)
         n = circuit.initial.n
         for repeat in range(args.repeats):
             initial = circuit.initial
@@ -429,7 +430,7 @@ def cmd_bench(args) -> int:
         mean = statistics.fmean(times)
         std = statistics.stdev(times) if len(times) > 1 else 0.0
         lines.append(
-            f"{args.builtin},{size},{n},{args.samples},{args.repeats},"
+            f"{args.builtin},{'' if size is None else size},{n},{args.samples},{args.repeats},"
             f"{mean:.6f},{std:.6f},{run.max_rank_seen},{trajectory}"
         )
     text = "\n".join(lines) + "\n"
@@ -530,17 +531,15 @@ _VERIFY_CHECKS = {"qfa": _check_qfa, "simon": _check_simon, "qft": _check_qft, "
 
 
 def cmd_verify(args) -> int:
-    selected = _VERIFY_CHECKS if args.only is None else tuple(
-        name for name in _VERIFY_CHECKS if name in {s.strip() for s in args.only.split(",")}
-    )
-    if not selected:
-        print("warning: no checks selected, vacuous pass")
-        return EXIT_OK
+    selected = _VERIFY_CHECKS if args.only is None else {
+        name for (name,) in _entries(args.only, "check name", f"({'|'.join(_VERIFY_CHECKS)})")
+    }
     failures = 0
-    for name in selected:
-        ok, detail = _VERIFY_CHECKS[name]()
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
-        failures += 0 if ok else 1
+    for name, check in _VERIFY_CHECKS.items():
+        if name in selected:
+            ok, detail = check()
+            print(f"{'PASS' if ok else 'FAIL'} {name}: {detail}")
+            failures += 0 if ok else 1
     return EXIT_OK if failures == 0 else 1
 
 
@@ -556,15 +555,12 @@ class _ArgumentParser(argparse.ArgumentParser):
 
 
 def _at_least(minimum: int):
-    """argparse ``type`` accepting integers of at least ``minimum``."""
+    """argparse ``type`` accepting ASCII decimal integers of at least ``minimum``."""
 
     def parse(text: str) -> int:
-        try:
-            if int(text) >= minimum:
-                return int(text)
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {text!r}")
+        if re.fullmatch(_NUMBER, text.strip(), re.ASCII) and int(text) >= minimum:
+            return int(text)
+        raise argparse.ArgumentTypeError(f"must be an integer >= {minimum}, got {_got(text)}")
 
     return parse
 
@@ -598,7 +594,7 @@ def build_parser() -> argparse.ArgumentParser:
     bench.set_defaults(func=cmd_bench)
 
     verify = sub.add_parser("verify", help="run the golden-value checks")
-    verify.add_argument("--only", help="comma-separated subset of checks to run")
+    verify.add_argument("--only", help="comma-separated checks to run: " + ", ".join(_VERIFY_CHECKS))
     verify.set_defaults(func=cmd_verify)
     return parser
 
@@ -606,10 +602,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        try:
+        with _reported():
             dense_cap()
-        except ValueError as exc:
-            raise CircuitSpecError(str(exc)) from exc
         return args.func(args)
     except CircuitSpecError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -36,15 +36,13 @@ deterministic.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
 
 DEFAULT_DENSE_CAP = 2 ** 20
-
-#: Tolerance used to certify bond orthonormality.
-ORTH_TOL = 1e-10
 
 
 class DenseCapExceeded(ValueError):
@@ -53,15 +51,13 @@ class DenseCapExceeded(ValueError):
 
 def dense_cap() -> int:
     """Largest dense object size allowed, overridable via ``MPOQ_DENSE_CAP``,
-    which must then be an integer >= 1 (``ValueError`` otherwise)."""
+    which must then be an integer >= 1 in ASCII decimal digits, at most
+    ``int()``'s 4,300 of them (``ValueError`` otherwise)."""
     value = os.environ.get("MPOQ_DENSE_CAP")
     if not value:
         return DEFAULT_DENSE_CAP
-    try:
-        if int(value) >= 1:
-            return int(value)
-    except ValueError:
-        pass
+    if re.fullmatch(r"[0-9]{1,4300}", value.strip(), re.ASCII) and int(value) >= 1:
+        return int(value)
     raise ValueError(f"MPOQ_DENSE_CAP must be an integer >= 1, got {value!r}")
 
 
@@ -450,16 +446,6 @@ def orthonormalize_left(state: MPS, policy: TruncationPolicy = DEFAULT_POLICY) -
     cores = list(state.cores)
     move_center(cores, 0, len(cores) - 1, policy)
     return MPS(cores)
-
-
-def is_right_orthonormal(state: MPS, tol: float = ORTH_TOL) -> bool:
-    """Certify that cores 2..n have orthonormal right unfoldings."""
-    for core in state.cores[1:]:
-        mat = _right_unfold(core)
-        gram = mat @ mat.conj().T
-        if np.max(np.abs(gram - np.eye(mat.shape[0]))) > tol:
-            return False
-    return True
 
 
 def _mpo_as_mps(op: MPO) -> MPS:

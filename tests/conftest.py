@@ -21,3 +21,12 @@ def kron_chain(mats):
     for m in mats:
         out = np.kron(out, np.asarray(m, dtype=complex))
     return out
+
+
+def is_right_orthonormal(state, tol=1e-10):
+    """Whether cores 2..n of ``state`` have orthonormal right unfoldings."""
+    for core in state.cores[1:]:
+        mat = core.reshape(core.shape[0], -1)
+        if np.max(np.abs(mat @ mat.conj().T - np.eye(mat.shape[0]))) > tol:
+            return False
+    return True

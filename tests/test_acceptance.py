@@ -18,6 +18,8 @@ from mpoq import dense_oracle as oracle
 from mpoq import tensor_core as tc
 from mpoq.gate_library import HADAMARD, controlled_mpo, hadamard_layer, phase_shift_k
 
+from conftest import is_right_orthonormal
+
 SHOR_RANK_4_BASES = (2, 7, 8, 13)
 SHOR_RANK_2_BASES = (4, 11, 14)
 
@@ -285,7 +287,7 @@ def test_criterion_7_property_suite(seed):
     # orthonormalization: preserved tensor, certified cores, no rank growth
     swept = tc.orthonormalize_right(state, tc.LOSSLESS)
     assert np.max(np.abs(swept.to_dense() - dense)) <= 1e-10 * state.norm()
-    assert tc.is_right_orthonormal(swept, tol=1e-10)
+    assert is_right_orthonormal(swept, tol=1e-10)
     assert all(a <= b for a, b in zip(swept.ranks, state.ranks))
 
     # diagonal lifting squares the tensor elementwise

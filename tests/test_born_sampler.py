@@ -11,6 +11,7 @@ from mpoq import born_sampler as bs
 from mpoq import circuit_catalog as cat
 from mpoq import dense_oracle as oracle
 from mpoq import tensor_core as tc
+from mpoq.gate_library import HADAMARD, PAULI_X, GatePlacement
 
 
 def exact_marginal_via_oracle(state, measured):
@@ -216,6 +217,22 @@ def test_point_mass_sampling():
     report = bs.sample(state, bs.MeasurementPlan(measured=(1, 2, 3, 4), sample_count=500, seed=5))
     assert report.counts == {"1011": 500}
     assert report.probabilities == {"1011": pytest.approx(1.0)}
+
+
+def test_sampling_renormalizes_a_truncated_state():
+    # GHZ(4) from gates, cut to rank 1: the run keeps only the 0000 branch
+    # at its original weight, so the first core has norm 1/sqrt(2)
+    gates = [GatePlacement(HADAMARD, target=1)]
+    gates += [GatePlacement(PAULI_X, target=i + 1, controls=(i,)) for i in (1, 2, 3)]
+    run = cat.run_gate_sequence(
+        cat.GateGroupSequence(tuple(gate.to_mpo(4) for gate in gates)),
+        tc.basis_state_mps([0] * 4),
+        tc.TruncationPolicy(max_rank=1),
+    )
+    assert np.linalg.norm(run.state.cores[0]) == pytest.approx(2 ** -0.5)
+    report = bs.sample(run.state, bs.MeasurementPlan(measured=(1, 2, 3, 4), sample_count=300, seed=4))
+    assert report.probabilities == {"0000": pytest.approx(1.0, abs=1e-15)}
+    assert report.counts == {"0000": 300}
 
 
 def test_seed_determinism_and_independence_of_sample_count():

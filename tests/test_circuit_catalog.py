@@ -26,6 +26,8 @@ from mpoq.gate_library import (
     phase_shift_k,
 )
 
+from conftest import is_right_orthonormal
+
 
 def gate_product_mpo(placements, n):
     product = None
@@ -297,8 +299,19 @@ def test_qft_inverse_round_trip():
 def test_run_gate_sequence_empty_is_identity():
     state = tc.random_mps(4, 2, seed=1)
     run = cat.run_gate_sequence(cat.GateGroupSequence((), label="empty"), state)
-    assert run.state is state
     assert run.rank_history == ()
+    assert_allclose(run.state.to_dense(), state.to_dense(), atol=1e-12 * state.norm())
+    assert run.state.right_orthonormal and is_right_orthonormal(run.state)
+
+
+def test_run_gate_sequence_rounds_the_input_also_without_groups():
+    w = tc.named_state_mps("w", 6)
+    capped = tc.TruncationPolicy(max_rank=1)
+    empty = cat.run_gate_sequence(cat.GateGroupSequence(()), w, capped)
+    x = GatePlacement(PAULI_X, target=1).to_mpo(6)
+    twice = cat.run_gate_sequence(cat.GateGroupSequence((x, x)), w, capped)
+    assert empty.state.max_rank == twice.state.max_rank == 1
+    assert_allclose(empty.state.to_dense(), twice.state.to_dense(), atol=1e-12)
 
 
 def test_run_gate_sequence_normalization_and_mismatch():
@@ -357,7 +370,7 @@ def test_windowed_executor_matches_full_sweeps_and_dense_oracle(circuit):
         dense = oracle.apply_gate_dense(dense, _GATES[g], target=t, controls=c)
     assert_allclose(run.state.to_dense(), dense, atol=1e-10)
     assert run.rank_history == full_sweep_run(groups, initial)[1]
-    assert run.state.right_orthonormal and tc.is_right_orthonormal(run.state)
+    assert run.state.right_orthonormal and is_right_orthonormal(run.state)
 
 
 def test_windowed_executor_rounds_bonds_beside_a_projector():
@@ -375,7 +388,7 @@ def test_windowed_executor_rounds_bonds_beside_a_projector():
     assert run.rank_history[:-1] == history[:-1]
     assert run.rank_history[-1][2:4] == history[-1][2:4] == (1, 1)
     assert_allclose(run.state.to_dense(), reference.to_dense(), atol=1e-12)
-    assert run.state.right_orthonormal and tc.is_right_orthonormal(run.state)
+    assert run.state.right_orthonormal and is_right_orthonormal(run.state)
 
 
 @pytest.mark.parametrize("name", ["w", "ghz"])
@@ -407,7 +420,7 @@ def test_windowed_executor_truncates_a_generic_input_like_full_sweeps(flagged, t
 
     assert run.rank_history == history == ((1, 2, 2, 2, 2, 2, 1),)
     assert_allclose(run.state.to_dense(), reference.to_dense(), atol=1e-12)
-    assert run.state.right_orthonormal and tc.is_right_orthonormal(run.state)
+    assert run.state.right_orthonormal and is_right_orthonormal(run.state)
 
 
 @pytest.mark.parametrize(

@@ -93,6 +93,14 @@ def test_builtin_parsing_errors(tmp_path, capsys):
         ["simulate", "--builtin", "qfa", "--measure", "1", "--postselect", "2=0,"],
         # a builtin name that does not parse
         ["simulate", "--builtin", "qft(8"],
+        # numbers are ASCII decimal digits: no underscore, sign or other script
+        ["simulate", "--builtin", "qfa-network(3)", "--measure", "1_0,+1"],
+        ["simulate", "--builtin", "qfa-network(3)", "--measure", "1_0"],
+        ["simulate", "--builtin", "qft(\u0668)"],
+        ["simulate", "--builtin", "qft(\uff18)"],
+        ["simulate", "--builtin", "qfa", "--measure", "2", "--postselect", "+1=0_0"],
+        ["simulate", "--builtin", "qfa", "--samples", "1_0"],
+        ["bench", "qft", "--sizes", "\u0664", "--samples", "10", "--repeats", "1"],
     ],
     ids=[
         "measure-x", "negative-samples", "postselect-measured", "zero-repeats",
@@ -100,7 +108,9 @@ def test_builtin_parsing_errors(tmp_path, capsys):
         "builtin-count-above-cap", "builtin-qft-above-cap", "bench-size-above-cap",
         "builtin-argument-digits", "measure-reversed-range", "measure-repeated",
         "measure-overlapping-ranges", "measure-huge-range", "measure-empty-entry",
-        "postselect-empty-entry", "builtin-unparsable",
+        "postselect-empty-entry", "builtin-unparsable", "measure-underscore-and-sign",
+        "measure-underscore", "builtin-arabic-indic-digit", "builtin-fullwidth-digit",
+        "postselect-sign-and-underscore", "samples-underscore", "bench-arabic-indic-size",
     ],
 )
 def test_bad_command_line_exits_2(args, capsys):
@@ -109,13 +119,51 @@ def test_bad_command_line_exits_2(args, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("value", ["abc", "1e6", "0", "-3"])
+@pytest.mark.parametrize("value", ["abc", "1e6", "0", "-3", "1_000", "+5", "\u0665"])
 def test_bad_dense_cap_variable_exits_2(value, monkeypatch, capsys):
     monkeypatch.setenv("MPOQ_DENSE_CAP", value)
     code, _, err = run_cli(["simulate", "--builtin", "simon"], capsys)
     assert code == cli.EXIT_SCHEMA
     assert err.startswith("error: ") and err.count("\n") == 1, err
     assert "MPOQ_DENSE_CAP" in err
+
+
+@pytest.mark.parametrize(
+    "spelled, plain",
+    [
+        (
+            ["simulate", "--builtin", " qft(4) ", "--measure", "1-3, 4", "--samples", " 20 ",
+             "--seed", " 2 "],
+            ["simulate", "--builtin", "qft(4)", "--measure", "1-3,4", "--samples", "20",
+             "--seed", "2"],
+        ),
+        (
+            ["simulate", "--builtin", "qfa-network(2)", "--measure", " 2 - 4 ,6",
+             "--postselect", " 1 = 0 , 5=1", "--samples", "50"],
+            ["simulate", "--builtin", "qfa-network(2)", "--measure", "2-4,6",
+             "--postselect", "1=0,5=1", "--samples", "50"],
+        ),
+        (
+            ["bench", "qft", "--sizes", " 2 , 3", "--samples", " 20 ", "--repeats", " 1 "],
+            ["bench", "qft", "--sizes", "2,3", "--samples", "20", "--repeats", "1"],
+        ),
+        (["verify", "--only", " qfa "], ["verify", "--only", "qfa"]),
+    ],
+    ids=["simulate-spaces", "postselect-spaces", "bench-spaces", "verify-spaces"],
+)
+def test_spaced_entries_read_as_their_plain_forms(spelled, plain, tmp_path, capsys):
+    outputs = []
+    for i, args in enumerate((spelled, plain)):
+        out_path = tmp_path / f"{i}.out"
+        out_args = ["--format", "json", "--out", str(out_path)] if args[0] == "simulate" else []
+        code, out, err = run_cli([*args, *out_args], capsys)
+        assert code == 0, err
+        if args[0] == "simulate":
+            out = out_path.read_text()
+        elif args[0] == "bench":  # every column but the timings
+            out = [row.split(",")[:5] + row.split(",")[7:] for row in out.splitlines()]
+        outputs.append(out)
+    assert outputs[0] == outputs[1]
 
 
 def test_qft_above_the_core_budget_is_rejected_before_any_group_is_built(
@@ -764,9 +812,11 @@ def test_verify_negative_control(monkeypatch, capsys):
 
 
 def test_verify_vacuous_selection(capsys):
-    code, out, _ = run_cli(["verify", "--only", "bogus"], capsys)
-    assert code == 0
-    assert "vacuous" in out
+    for only in ("bogus", "qfa,bogus", "qfa,"):
+        code, out, err = run_cli(["verify", "--only", only], capsys)
+        assert code == cli.EXIT_SCHEMA and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert ('"bogus"' if "bogus" in only else '""') in err
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from mpoq import tensor_core as tc
 from mpoq.gate_library import CONTROL_1, IDENTITY, PAULI_X, controlled_mpo
 
-from conftest import kron_chain
+from conftest import is_right_orthonormal, kron_chain
 
 
 def random_mpo(n, rank, seed):
@@ -349,7 +349,7 @@ def test_right_orthonormalize_preserves_tensor_and_certifies():
     state = tc.random_mps(7, 5, seed=12)
     out = tc.orthonormalize_right(state, tc.LOSSLESS)
     assert out.right_orthonormal
-    assert tc.is_right_orthonormal(out, tol=1e-10)
+    assert is_right_orthonormal(out, tol=1e-10)
     assert_allclose(out.to_dense(), state.to_dense(), atol=1e-10 * state.norm())
     assert all(a <= b for a, b in zip(out.ranks, state.ranks))
 

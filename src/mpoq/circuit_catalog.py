@@ -15,6 +15,7 @@ reversal is owned by this module.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -206,23 +207,53 @@ _QFT_TOP_0 = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128) / np.sqrt(2
 _QFT_TOP_1 = np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-def qft_group_mpo(i: int, n: int) -> MPO:
-    """Gate group ``i`` of the QFT: Hadamard on qubit ``i`` followed by its
-    controlled dyadic phases, merged into one chain of bond rank <= 2."""
+# bounded, so that a direct call with a huge n cannot pin its cores for good;
+# qft(1413), the largest within MAX_CORES, needs about 8,500 entries in all forms
+@functools.lru_cache(maxsize=1 << 14)
+def _qft_core(place: str, k: int, form: str = "") -> np.ndarray:
+    """The one shared, read-only copy of a QFT group core at ``place``:
+    ``"top"`` (the Hadamard split over the bond), ``"middle"`` or ``"last"``
+    (phase ``k``) or ``"single"`` (the last group's Hadamard), in ``form``
+    ``""``, ``"conj"`` or ``"adjoint"`` (what :meth:`MPO.conj` or
+    :meth:`MPO.adjoint` would make of it)."""
+    if form:
+        core = _qft_core(place, k)
+        core = core.conj() if form == "conj" else np.array(core.conj().transpose(0, 2, 1, 3))
+        core.flags.writeable = False
+        return core
+    if place == "single":
+        return block_core([[HADAMARD]])
+    if place == "top":
+        return block_core([[_QFT_TOP_0, _QFT_TOP_1]])
+    if place == "middle":
+        return block_core([[IDENTITY, None], [None, phase_shift_k(k)]])
+    return block_core([[IDENTITY], [phase_shift_k(k)]])
+
+
+def _qft_group(i: int, n: int, form: str = "") -> MPO:
+    """Gate group ``i`` of ``qft(n)`` in ``form`` (see :func:`_qft_core`),
+    assembled from the shared cores."""
     if not 1 <= i <= n:
         raise ValueError(f"group index {i} outside [1, {n}]")
     if i == n:
-        return MPO.embed([HADAMARD[None, :, :, None]], n - 1, n)
-    cores = [block_core([[_QFT_TOP_0, _QFT_TOP_1]])]
-    for j in range(i + 1, n):
-        cores.append(block_core([[IDENTITY, None], [None, phase_shift_k(j - i + 1)]]))
-    cores.append(block_core([[IDENTITY], [phase_shift_k(n - i + 1)]]))
+        return MPO.embed([_qft_core("single", 0, form)], n - 1, n)
+    cores = [_qft_core("top", 0, form)]
+    cores += [_qft_core("middle", k, form) for k in range(2, n - i + 1)]
+    cores.append(_qft_core("last", n - i + 1, form))
     return MPO.embed(cores, i - 1, n)
+
+
+def qft_group_mpo(i: int, n: int) -> MPO:
+    """Gate group ``i`` of the QFT: Hadamard on qubit ``i`` followed by its
+    controlled dyadic phases, merged into one chain of bond rank <= 2.
+    The cores are shared with every other group: each depends only on its
+    place in the group and its phase index."""
+    return _qft_group(i, n)
 
 
 def inverse_qft_group_mpo(i: int, n: int) -> MPO:
     """Adjoint of gate group ``i``: conjugated phases, Hadamard applied last."""
-    return qft_group_mpo(i, n).adjoint()
+    return _qft_group(i, n, "adjoint")
 
 
 def qft_sequence(n: int) -> "GateGroupSequence":
@@ -483,7 +514,7 @@ def shor_sequence(a: int) -> GateGroupSequence:
     # conjugated = inverse transform up to the qubit reversal read off later;
     # group i acts on input qubits i..n_input
     groups += [
-        MPO.embed(qft_group_mpo(i, n_input).conj().cores, i - 1, total)
+        MPO.embed(_qft_group(i, n_input, "conj").cores, i - 1, total)
         for i in range(1, n_input + 1)
     ]
     return GateGroupSequence(groups=tuple(groups), label=f"shor({a})")
@@ -528,8 +559,11 @@ def shor_run(a: int) -> ShorResult:
 #: alone is one core per qubit, so an unbounded size could exhaust memory.
 MAX_QUBITS = 100_000
 
-#: Most operator cores one circuit may store over all its groups, about
-#: 0.4 GB at the 424 bytes a stored QFT core takes.
+#: Most operator cores one circuit may store over all its groups.  It bounds
+#: the core references the groups hold and the core applications of a run
+#: (each stored core is contracted once).  QFT groups share their cores, so
+#: ``qft(1413)``'s 998,991 references hold about 10 MB; the cores of lifted
+#: gates are their own arrays, about 424 bytes each, 0.42 GB at the budget.
 MAX_CORES = 10 ** 6
 
 

@@ -328,8 +328,8 @@ def cmd_simulate(args) -> int:
         circuit = load_builtin(args.builtin)
 
     n = circuit.initial.n
-    measured = _parse_positions(args.measure, n) if args.measure else circuit.readout
-    postselect = _parse_postselect(args.postselect, n) if args.postselect else {}
+    measured = _parse_positions(args.measure, n) if args.measure is not None else circuit.readout
+    postselect = _parse_postselect(args.postselect, n) if args.postselect is not None else {}
     with _reported():
         plan = MeasurementPlan(
             measured=measured,
@@ -404,7 +404,9 @@ def _print_summary(circuit: catalog.Circuit, run, report: SampleReport, shor_row
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(size) for (size,) in _entries(args.sizes, "size", _NUMBER)] if args.sizes else [None]
+    sizes = [None]
+    if args.sizes is not None:
+        sizes = [int(size) for (size,) in _entries(args.sizes, "size", _NUMBER)]
     lines = ["builtin,size,n_qubits,samples,repeats,mean_seconds,std_seconds,max_rank,rank_trajectory"]
     for size in sizes:
         times = []

@@ -12,11 +12,13 @@ place, so an executor can keep one chain in mixed-canonical form across
 many operators.  ``move_center`` is the one sweep loop: orthonormalization,
 compression and the re-rounding of an applied window all run through it.
 At the small ranks of the catalog circuits the Python around each tiny
-matrix costs as much as the arithmetic, so ``svd_step`` calls numpy's
-thin-SVD gufunc directly (the call ``np.linalg.svd(...,
-full_matrices=False)`` makes for complex input), and ``move_center`` enters
-one ``np.errstate`` per sweep, not one per SVD, that turns a failed or NaN
-SVD into ``numpy.linalg.LinAlgError``.
+matrix costs as much as the arithmetic, so ``svd_step`` is one body: one
+reshape in, numpy's thin-SVD gufunc called directly (the call
+``np.linalg.svd(..., full_matrices=False)`` makes for complex input),
+slices only when the policy cuts, one reshape out and one product into
+the neighbour.  ``move_center`` enters one ``np.errstate`` per sweep, not
+one per SVD, that turns a failed or NaN SVD into
+``numpy.linalg.LinAlgError``.
 
 An operator stores only the cores of the sites it acts on, its window
 ``MPO.span``, plus the register size ``MPO.n``; it is the identity on every
@@ -28,9 +30,15 @@ from ``MPO.padded``, the one place that writes identity cores.  Dense
 reconstruction of an operator contracts its d²-site state view, so states
 and operators share one dense contraction.
 
+A chain keeps an owned, read-only complex128 array as it is and copies
+anything else, so a core a builder has just frozen (every
+:func:`block_core` result) is allocated once, and one array can serve
+many operators.
+
 Bond indices use one fixed lumping convention throughout (first index
 varies fastest, i.e. Fortran-order reshapes), which keeps the SVD sweeps
-deterministic.
+deterministic; ``svd_step`` unfolds and folds its core with one such
+reshape each.
 """
 
 from __future__ import annotations
@@ -58,7 +66,10 @@ def dense_cap() -> int:
         return DEFAULT_DENSE_CAP
     if re.fullmatch(r"[0-9]{1,4300}", value.strip(), re.ASCII) and int(value) >= 1:
         return int(value)
-    raise ValueError(f"MPOQ_DENSE_CAP must be an integer >= 1, got {value!r}")
+    shown = repr(value)  # at most 40 characters, as the command line quotes input
+    if len(shown) > 40:
+        shown = shown[:37] + "..."
+    raise ValueError(f"MPOQ_DENSE_CAP must be an integer >= 1, got {shown}")
 
 
 @dataclass(frozen=True)
@@ -81,13 +92,18 @@ class TruncationPolicy:
             raise ValueError(f"max_rank must be an integer >= 1 or None, got {self.max_rank!r}")
 
     def keep_count(self, singular_values: np.ndarray) -> int:
+        """How many of ``singular_values``, sorted descending as LAPACK
+        returns them, the policy keeps (at least 1)."""
         values = singular_values.tolist()  # Python floats: no ufunc per site step
         smax = values[0] if values else 0.0
         if smax <= 0.0:
             keep = 1
         else:
             cut = self.rel_threshold * smax
-            keep = max(sum(1 for v in values if v > cut), 1)
+            if values[-1] > cut:  # the smallest passes, so all do
+                keep = len(values)
+            else:
+                keep = max(sum(1 for v in values if v > cut), 1)
         if self.max_rank is not None:
             keep = min(keep, self.max_rank)
         return keep
@@ -100,15 +116,21 @@ DEFAULT_POLICY = TruncationPolicy()
 LOSSLESS = TruncationPolicy(rel_threshold=0.0)
 
 
-def _freeze(arr: np.ndarray) -> np.ndarray:
+def _freeze(arr) -> np.ndarray:
+    """``arr`` as a read-only complex128 ndarray: an owned (``base is None``),
+    read-only complex128 ndarray as it is, anything else copied."""
+    if type(arr) is np.ndarray and arr.dtype == np.complex128 and arr.base is None \
+            and not arr.flags.writeable:
+        return arr
     out = np.array(arr, dtype=np.complex128)
     out.flags.writeable = False
     return out
 
 
 def _chain(cores, order: int) -> tuple[np.ndarray, ...]:
-    """Read-only copies of ``cores`` after the one chain check: order ``order``,
-    nonempty equal physical slots, boundary bonds 1 and matching inner bonds."""
+    """``cores`` frozen by :func:`_freeze` after the one chain check: order
+    ``order``, nonempty equal physical slots, boundary bonds 1 and matching
+    inner bonds."""
     cores = tuple(map(_freeze, cores))
     if not cores:
         raise ValueError("a chain needs at least one core")
@@ -312,15 +334,17 @@ def apply_core(op_core: np.ndarray, core: np.ndarray) -> np.ndarray:
 
 
 def block_core(rows) -> np.ndarray:
-    """The core ``(len(rows), *block, len(rows[0]))`` whose bond block
-    ``(i, j)`` is ``rows[i][j]``: a ket for a state core, a square matrix for
-    an operator core, ``None`` for a zero block."""
+    """The read-only core ``(len(rows), *block, len(rows[0]))`` whose bond
+    block ``(i, j)`` is ``rows[i][j]``: a ket for a state core, a square
+    matrix for an operator core, ``None`` for a zero block.  A chain takes it
+    as it is, without a copy."""
     shape = next(np.shape(block) for row in rows for block in row if block is not None)
     core = np.zeros((len(rows), *shape, len(rows[0])), dtype=np.complex128)
     for i, row in enumerate(rows):
         for j, block in enumerate(row):
             if block is not None:
                 core[i, ..., j] = block
+    core.flags.writeable = False
     return core
 
 
@@ -387,45 +411,6 @@ def random_mps(n: int, max_rank: int, seed=None, d: int = 2) -> MPS:
         shape = (ranks[i], d, ranks[i + 1])
         cores.append(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
     return MPS(cores).normalized()
-
-
-# ---------------------------------------------------------------------------
-# unfoldings (fixed lumping convention: first index fastest)
-
-
-def _right_unfold(core: np.ndarray) -> np.ndarray:
-    r, d, s = core.shape
-    return core.reshape(r, d * s, order="F")
-
-
-def _right_fold(mat: np.ndarray, d: int, s: int) -> np.ndarray:
-    return mat.reshape(mat.shape[0], d, s, order="F")
-
-
-def _left_unfold(core: np.ndarray) -> np.ndarray:
-    r, d, s = core.shape
-    return core.reshape(r * d, s, order="F")
-
-
-def _left_fold(mat: np.ndarray, r: int, d: int) -> np.ndarray:
-    return mat.reshape(r, d, mat.shape[1], order="F")
-
-
-#: The LAPACK gufunc behind ``np.linalg.svd(mat, full_matrices=False)``,
-#: called with the signature that wrapper picks for complex input.
-_SVD = _umath_linalg.svd_s
-
-
-def _svd_failed(err, flag):
-    raise np.linalg.LinAlgError("SVD did not converge")
-
-
-def _truncated_svd(mat: np.ndarray, policy: TruncationPolicy):
-    u, s, vh = _SVD(mat, signature="D->DdD")
-    keep = policy.keep_count(s)
-    if keep == len(s):
-        return u, s, vh
-    return u[:, :keep], s[:keep], vh[:keep, :]
 
 
 # ---------------------------------------------------------------------------
@@ -549,6 +534,15 @@ def diag_mpo(state: MPS) -> MPO:
 # left of c are left-orthonormal, cores right of c right-orthonormal.
 
 
+#: The LAPACK gufunc behind ``np.linalg.svd(mat, full_matrices=False)``,
+#: called with the signature that wrapper picks for complex input.
+_SVD = _umath_linalg.svd_s
+
+
+def _svd_failed(err, flag):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
 def svd_step(cores: list, i: int, step: int, policy: TruncationPolicy) -> None:
     """Truncating split of site ``i`` toward ``i + step`` (+1 or -1).
 
@@ -558,13 +552,18 @@ def svd_step(cores: list, i: int, step: int, policy: TruncationPolicy) -> None:
     whose errstate raises ``LinAlgError`` where the SVD fails.
     """
     r, d, s = cores[i].shape
+    # the unfolding lumps (r, d) for a step right, (d, s) for a step left,
+    # first index fastest
+    u, sv, vh = _SVD(cores[i].reshape((r * d, s) if step > 0 else (r, d * s), order="F"),
+                     signature="D->DdD")
+    keep = policy.keep_count(sv)
+    if keep < len(sv):
+        u, sv, vh = u[:, :keep], sv[:keep], vh[:keep]
     if step > 0:
-        u, sv, vh = _truncated_svd(_left_unfold(cores[i]), policy)
-        cores[i] = _left_fold(u, r, d)
+        cores[i] = u.reshape(r, d, keep, order="F")
         cores[i + 1] = _left_multiplied(cores[i + 1], sv[:, None] * vh)
     else:
-        u, sv, vh = _truncated_svd(_right_unfold(cores[i]), policy)
-        cores[i] = _right_fold(vh, d, s)
+        cores[i] = vh.reshape(keep, d, s, order="F")
         cores[i - 1] = cores[i - 1] @ (u * sv)
 
 

@@ -2,6 +2,7 @@
 
 import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -290,6 +291,51 @@ def test_qft_inverse_round_trip():
     forward = cat.run_gate_sequence(cat.qft_sequence(6), tc.basis_state_mps(bits))
     back = cat.run_gate_sequence(cat.inverse_qft_sequence(6), forward.state)
     assert_allclose(back.state.to_dense(), oracle.basis_state(bits), atol=1e-10)
+
+
+def test_qft_groups_share_their_cores():
+    # a core depends only on its place in the group and its phase index
+    for sequence in (cat.qft_sequence(8), cat.inverse_qft_sequence(8), cat.shor_sequence(7)):
+        groups = [g for g in sequence.groups if len(g.cores) > 1][-7:]
+        groups.sort(key=lambda g: g.span)
+        for group in groups[1:]:
+            assert all(c is f for c, f in zip(group.cores[:-1], groups[0].cores))
+    # the last core of group i carries phase n - i + 1, whatever n is
+    assert cat.qft_group_mpo(1, 8).cores[-1] is cat.qft_group_mpo(2, 9).cores[-1]
+    assert cat.qft_group_mpo(8, 8).cores[0] is cat.qft_group_mpo(3, 3).cores[0]
+    forward, inverse = cat.qft_group_mpo(2, 8), cat.inverse_qft_group_mpo(2, 8)
+    assert all(a is not b for a, b in zip(forward.cores, inverse.cores))
+    assert all(not c.flags.writeable for c in forward.cores + inverse.cores)
+
+
+def test_qft_sequence_stores_core_references_not_core_copies():
+    tracemalloc.start()
+    try:
+        sequence = cat.qft_sequence(300)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sum(len(g.cores) for g in sequence.groups) == 300 * 301 // 2
+    assert held < 2 * 10 ** 6  # 19.1 MB when every group built its own cores
+
+
+def test_shared_cores_leave_the_svd_count_unchanged(monkeypatch):
+    # counts recorded before the QFT groups shared their cores and before
+    # svd_step became one body: the arithmetic is the same step for step
+    calls = []
+    svd = tc._SVD
+
+    def counting_svd(*args, **kwargs):
+        calls.append(None)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(tc, "_SVD", counting_svd)
+    forward = cat.run_gate_sequence(cat.qft_sequence(16), tc.basis_state_mps([0] * 16))
+    cat.run_gate_sequence(cat.inverse_qft_sequence(16), forward.state)
+    assert len(calls) == 628
+    calls.clear()
+    cat.shor_run(7)
+    assert len(calls) == 180
 
 
 # ---------------------------------------------------------------------------

@@ -101,6 +101,10 @@ def test_builtin_parsing_errors(tmp_path, capsys):
         ["simulate", "--builtin", "qfa", "--measure", "2", "--postselect", "+1=0_0"],
         ["simulate", "--builtin", "qfa", "--samples", "1_0"],
         ["bench", "qft", "--sizes", "\u0664", "--samples", "10", "--repeats", "1"],
+        # an empty option is an empty entry, not an absent option
+        ["simulate", "--builtin", "qfa", "--measure", ""],
+        ["simulate", "--builtin", "qfa", "--postselect", ""],
+        ["bench", "qfa", "--sizes", "", "--samples", "10", "--repeats", "1"],
     ],
     ids=[
         "measure-x", "negative-samples", "postselect-measured", "zero-repeats",
@@ -111,6 +115,7 @@ def test_builtin_parsing_errors(tmp_path, capsys):
         "postselect-empty-entry", "builtin-unparsable", "measure-underscore-and-sign",
         "measure-underscore", "builtin-arabic-indic-digit", "builtin-fullwidth-digit",
         "postselect-sign-and-underscore", "samples-underscore", "bench-arabic-indic-size",
+        "measure-empty", "postselect-empty", "bench-sizes-empty",
     ],
 )
 def test_bad_command_line_exits_2(args, capsys):
@@ -119,13 +124,16 @@ def test_bad_command_line_exits_2(args, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1, err
 
 
-@pytest.mark.parametrize("value", ["abc", "1e6", "0", "-3", "1_000", "+5", "\u0665"])
+@pytest.mark.parametrize(
+    "value",
+    ["abc", "1e6", "0", "-3", "1_000", "+5", "\u0665", pytest.param("x" * 5000, id="5000-chars")],
+)
 def test_bad_dense_cap_variable_exits_2(value, monkeypatch, capsys):
     monkeypatch.setenv("MPOQ_DENSE_CAP", value)
     code, _, err = run_cli(["simulate", "--builtin", "simon"], capsys)
     assert code == cli.EXIT_SCHEMA
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "MPOQ_DENSE_CAP" in err
+    assert "MPOQ_DENSE_CAP" in err and len(err) < 100, err  # the value is quoted truncated
 
 
 @pytest.mark.parametrize(

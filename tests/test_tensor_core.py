@@ -87,6 +87,22 @@ def test_cores_are_read_only():
         state.cores[0][0, 0, 0] = 5.0
 
 
+def test_chain_copies_writable_cores_and_keeps_frozen_owned_ones():
+    writable = np.eye(2, dtype=np.complex128)[None, :, :, None].copy()
+    op = tc.MPO([writable])
+    writable[0, 0, 0, 0] = 5.0
+    assert op.cores[0][0, 0, 0, 0] == 1.0
+    # a lifted gate's cores come from block_core, owned and read-only
+    gate = controlled_mpo((1,), PAULI_X, 3, 3)
+    assert all(not c.flags.writeable and c.base is None for c in gate.cores)
+    assert all(a is b for a, b in zip(tc.MPO(gate.cores).cores, gate.cores))
+    frozen = tc.block_core([[IDENTITY]])
+    assert tc.MPS([frozen[:, :, 0, :]]).cores[0].base is None  # a view is copied
+    real = np.ones((1, 2, 1))
+    real.flags.writeable = False
+    assert tc.MPS([real]).cores[0].dtype == np.complex128
+
+
 def test_ghz_dense():
     dense = tc.named_state_mps("ghz", 3).to_dense()
     expected = np.zeros(8)

@@ -40,6 +40,7 @@ from .tensor_core import (
     MPO,
     MPS,
     TruncationPolicy,
+    adjoint_core,
     apply_window,
     basis_state_mps,
     block_core,
@@ -48,6 +49,7 @@ from .tensor_core import (
     mpo_add,
     orthonormalize_left,
     orthonormalize_right,
+    sealed,
 )
 
 
@@ -208,19 +210,17 @@ _QFT_TOP_1 = np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(
 
 
 # bounded, so that a direct call with a huge n cannot pin its cores for good;
-# qft(1413), the largest within MAX_CORES, needs about 8,500 entries in all forms
+# qft(1413), the largest within MAX_CORES, needs 8,475 entries in all three forms
 @functools.lru_cache(maxsize=1 << 14)
-def _qft_core(place: str, k: int, form: str = "") -> np.ndarray:
-    """The one shared, read-only copy of a QFT group core at ``place``:
+def _qft_core(place: str, k: int, form: str) -> np.ndarray:
+    """The one shared, sealed copy of a QFT group core at ``place``:
     ``"top"`` (the Hadamard split over the bond), ``"middle"`` or ``"last"``
     (phase ``k``) or ``"single"`` (the last group's Hadamard), in ``form``
     ``""``, ``"conj"`` or ``"adjoint"`` (what :meth:`MPO.conj` or
     :meth:`MPO.adjoint` would make of it)."""
     if form:
-        core = _qft_core(place, k)
-        core = core.conj() if form == "conj" else np.array(core.conj().transpose(0, 2, 1, 3))
-        core.flags.writeable = False
-        return core
+        core = _qft_core(place, k, "")
+        return sealed(core.conj() if form == "conj" else adjoint_core(core))
     if place == "single":
         return block_core([[HADAMARD]])
     if place == "top":
@@ -230,7 +230,7 @@ def _qft_core(place: str, k: int, form: str = "") -> np.ndarray:
     return block_core([[IDENTITY], [phase_shift_k(k)]])
 
 
-def _qft_group(i: int, n: int, form: str = "") -> MPO:
+def _qft_group(i: int, n: int, form: str) -> MPO:
     """Gate group ``i`` of ``qft(n)`` in ``form`` (see :func:`_qft_core`),
     assembled from the shared cores."""
     if not 1 <= i <= n:
@@ -248,7 +248,7 @@ def qft_group_mpo(i: int, n: int) -> MPO:
     controlled dyadic phases, merged into one chain of bond rank <= 2.
     The cores are shared with every other group: each depends only on its
     place in the group and its phase index."""
-    return _qft_group(i, n)
+    return _qft_group(i, n, "")
 
 
 def inverse_qft_group_mpo(i: int, n: int) -> MPO:
@@ -562,8 +562,8 @@ MAX_QUBITS = 100_000
 #: Most operator cores one circuit may store over all its groups.  It bounds
 #: the core references the groups hold and the core applications of a run
 #: (each stored core is contracted once).  QFT groups share their cores, so
-#: ``qft(1413)``'s 998,991 references hold about 10 MB; the cores of lifted
-#: gates are their own arrays, about 424 bytes each, 0.42 GB at the budget.
+#: ``qft(1413)``'s 998,991 references hold about 9 MB; the cores of lifted
+#: gates are their own arrays, about 460 bytes each, 0.46 GB at the budget.
 MAX_CORES = 10 ** 6
 
 

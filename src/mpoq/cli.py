@@ -43,6 +43,7 @@ from .tensor_core import (
     DenseCapExceeded,
     TruncationPolicy,
     basis_state_mps,
+    clipped,
     dense_cap,
     named_state_mps,
 )
@@ -97,8 +98,7 @@ def _reported_at(path: str):
 
 
 def _got(value) -> str:
-    text = json.dumps(value, default=repr)
-    return text if len(text) <= 40 else text[:37] + "..."
+    return clipped(json.dumps(value, default=repr))
 
 
 def _fields(value, path: str, required=(), optional=()) -> dict:

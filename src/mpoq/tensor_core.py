@@ -30,10 +30,12 @@ from ``MPO.padded``, the one place that writes identity cores.  Dense
 reconstruction of an operator contracts its d²-site state view, so states
 and operators share one dense contraction.
 
-A chain keeps an owned, read-only complex128 array as it is and copies
-anything else, so a core a builder has just frozen (every
-:func:`block_core` result) is allocated once, and one array can serve
-many operators.
+A chain copies every core it is given into a read-only array of its own,
+except a sealed one (:func:`sealed`): a complex128 array over an immutable
+``bytes`` buffer, which numpy refuses to make writable again.  A sealed
+core is shared as it is, so a chain does not copy what a builder sealed
+(every :func:`block_core` result), and one array can serve many
+operators.
 
 Bond indices use one fixed lumping convention throughout (first index
 varies fastest, i.e. Fortran-order reshapes), which keeps the SVD sweeps
@@ -57,6 +59,12 @@ class DenseCapExceeded(ValueError):
     """Raised when a dense reconstruction would exceed the size guard."""
 
 
+def clipped(text: str) -> str:
+    """``text`` as an error message quotes input: at most 40 characters,
+    ending in ``...`` where it is cut."""
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
 def dense_cap() -> int:
     """Largest dense object size allowed, overridable via ``MPOQ_DENSE_CAP``,
     which must then be an integer >= 1 in ASCII decimal digits, at most
@@ -66,10 +74,7 @@ def dense_cap() -> int:
         return DEFAULT_DENSE_CAP
     if re.fullmatch(r"[0-9]{1,4300}", value.strip(), re.ASCII) and int(value) >= 1:
         return int(value)
-    shown = repr(value)  # at most 40 characters, as the command line quotes input
-    if len(shown) > 40:
-        shown = shown[:37] + "..."
-    raise ValueError(f"MPOQ_DENSE_CAP must be an integer >= 1, got {shown}")
+    raise ValueError(f"MPOQ_DENSE_CAP must be an integer >= 1, got {clipped(repr(value))}")
 
 
 @dataclass(frozen=True)
@@ -92,18 +97,15 @@ class TruncationPolicy:
             raise ValueError(f"max_rank must be an integer >= 1 or None, got {self.max_rank!r}")
 
     def keep_count(self, singular_values: np.ndarray) -> int:
-        """How many of ``singular_values``, sorted descending as LAPACK
-        returns them, the policy keeps (at least 1)."""
+        """How many of ``singular_values``, largest first as LAPACK returns
+        them, the policy keeps (at least 1)."""
         values = singular_values.tolist()  # Python floats: no ufunc per site step
         smax = values[0] if values else 0.0
         if smax <= 0.0:
             keep = 1
         else:
             cut = self.rel_threshold * smax
-            if values[-1] > cut:  # the smallest passes, so all do
-                keep = len(values)
-            else:
-                keep = max(sum(1 for v in values if v > cut), 1)
+            keep = max(sum(1 for v in values if v > cut), 1)
         if self.max_rank is not None:
             keep = min(keep, self.max_rank)
         return keep
@@ -116,11 +118,18 @@ DEFAULT_POLICY = TruncationPolicy()
 LOSSLESS = TruncationPolicy(rel_threshold=0.0)
 
 
+def sealed(arr) -> np.ndarray:
+    """``arr`` as a C-ordered complex128 array over an immutable ``bytes``
+    buffer: read-only for good, so a chain shares it without a copy."""
+    arr = np.asarray(arr, dtype=np.complex128)
+    return np.ndarray(arr.shape, np.complex128, arr.tobytes())
+
+
 def _freeze(arr) -> np.ndarray:
-    """``arr`` as a read-only complex128 ndarray: an owned (``base is None``),
-    read-only complex128 ndarray as it is, anything else copied."""
-    if type(arr) is np.ndarray and arr.dtype == np.complex128 and arr.base is None \
-            and not arr.flags.writeable:
+    """``arr`` as a read-only complex128 ndarray: a C-ordered array over a
+    ``bytes`` buffer (:func:`sealed`) as it is, anything else copied."""
+    if type(arr) is np.ndarray and type(arr.base) is bytes and arr.dtype == np.complex128 \
+            and arr.flags.c_contiguous:
         return arr
     out = np.array(arr, dtype=np.complex128)
     out.flags.writeable = False
@@ -306,8 +315,13 @@ class MPO:
 
     def adjoint(self) -> "MPO":
         """Conjugate transpose of the represented operator."""
-        window = [c.conj().transpose(0, 2, 1, 3) for c in self.cores]
-        return MPO.embed(window, self.span[0], self.n)
+        return MPO.embed([adjoint_core(c) for c in self.cores], self.span[0], self.n)
+
+
+def adjoint_core(core: np.ndarray) -> np.ndarray:
+    """The core of the adjoint operator at one site: the row and column
+    physical indices swapped and every entry conjugated."""
+    return core.conj().transpose(0, 2, 1, 3)
 
 
 def apply_core(op_core: np.ndarray, core: np.ndarray) -> np.ndarray:
@@ -334,7 +348,7 @@ def apply_core(op_core: np.ndarray, core: np.ndarray) -> np.ndarray:
 
 
 def block_core(rows) -> np.ndarray:
-    """The read-only core ``(len(rows), *block, len(rows[0]))`` whose bond
+    """The sealed core ``(len(rows), *block, len(rows[0]))`` whose bond
     block ``(i, j)`` is ``rows[i][j]``: a ket for a state core, a square
     matrix for an operator core, ``None`` for a zero block.  A chain takes it
     as it is, without a copy."""
@@ -344,8 +358,7 @@ def block_core(rows) -> np.ndarray:
         for j, block in enumerate(row):
             if block is not None:
                 core[i, ..., j] = block
-    core.flags.writeable = False
-    return core
+    return sealed(core)
 
 
 _KET0 = np.array([1.0, 0.0], dtype=np.complex128)

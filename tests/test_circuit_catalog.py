@@ -305,7 +305,21 @@ def test_qft_groups_share_their_cores():
     assert cat.qft_group_mpo(8, 8).cores[0] is cat.qft_group_mpo(3, 3).cores[0]
     forward, inverse = cat.qft_group_mpo(2, 8), cat.inverse_qft_group_mpo(2, 8)
     assert all(a is not b for a, b in zip(forward.cores, inverse.cores))
-    assert all(not c.flags.writeable for c in forward.cores + inverse.cores)
+    for core in forward.cores + inverse.cores + cat.shor_sequence(7).groups[-2].cores:
+        with pytest.raises(ValueError):  # sealed: no group can change a shared core
+            core.flags.writeable = True
+        with pytest.raises(ValueError):
+            core[0, 0, 0, 0] = 5.0
+
+
+def test_each_qft_core_is_built_once_per_form():
+    cat._qft_core.cache_clear()
+    cat.qft_sequence(8)
+    plain = cat._qft_core.cache_info().currsize
+    assert plain == 15  # top, single, middle k = 2..7, last k = 2..8
+    cat.inverse_qft_sequence(8)
+    cat.shor_sequence(2)  # its inverse transform is qft(8) in the conj form
+    assert cat._qft_core.cache_info().currsize == 3 * plain
 
 
 def test_qft_sequence_stores_core_references_not_core_copies():

@@ -87,17 +87,24 @@ def test_cores_are_read_only():
         state.cores[0][0, 0, 0] = 5.0
 
 
-def test_chain_copies_writable_cores_and_keeps_frozen_owned_ones():
+def test_chain_copies_every_core_but_a_sealed_one():
     writable = np.eye(2, dtype=np.complex128)[None, :, :, None].copy()
     op = tc.MPO([writable])
     writable[0, 0, 0, 0] = 5.0
     assert op.cores[0][0, 0, 0, 0] == 1.0
-    # a lifted gate's cores come from block_core, owned and read-only
+    # an owned read-only array could be made writable again, so it is copied
+    frozen = np.eye(2, dtype=np.complex128)[None, :, :, None].copy()
+    frozen.flags.writeable = False
+    assert tc.MPO([frozen]).cores[0] is not frozen
+    # a lifted gate's cores come from block_core, sealed for good and shared
     gate = controlled_mpo((1,), PAULI_X, 3, 3)
-    assert all(not c.flags.writeable and c.base is None for c in gate.cores)
+    assert all(type(c.base) is bytes for c in gate.cores)
     assert all(a is b for a, b in zip(tc.MPO(gate.cores).cores, gate.cores))
-    frozen = tc.block_core([[IDENTITY]])
-    assert tc.MPS([frozen[:, :, 0, :]]).cores[0].base is None  # a view is copied
+    with pytest.raises(ValueError):
+        gate.cores[0].flags.writeable = True
+    block = tc.block_core([[IDENTITY, IDENTITY]])
+    view = block[:, :, :, ::-1]  # a reversed view of a sealed core is copied
+    assert tc.MPO([view[:, :, :, :1]]).cores[0].base is None
     real = np.ones((1, 2, 1))
     real.flags.writeable = False
     assert tc.MPS([real]).cores[0].dtype == np.complex128
@@ -577,7 +584,9 @@ def test_svd_step_is_byte_equal_to_the_numpy_reference(policy, step):
 
 def test_keep_count_matches_the_numpy_reference():
     rng = np.random.default_rng(12)
-    policies = [tc.DEFAULT_POLICY, tc.LOSSLESS, tc.TruncationPolicy(0.3, 2), tc.TruncationPolicy(0.5)]
+    # 5e-13 keeps two of [1.0, 1e-13, 1e-12]: the values need not be sorted past the first
+    policies = [tc.DEFAULT_POLICY, tc.LOSSLESS, tc.TruncationPolicy(0.3, 2), tc.TruncationPolicy(0.5),
+                tc.TruncationPolicy(5e-13)]
     samples = [np.zeros(0), np.zeros(3), np.array([2.0, 1.0, 1.0, 0.0]), np.array([1.0, 1e-13, 1e-12])]
     samples += [np.sort(rng.random(int(rng.integers(1, 9))))[::-1] for _ in range(40)]
     for policy in policies:

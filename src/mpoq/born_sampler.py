@@ -9,9 +9,13 @@ environments.  The qubit-wise cost is cubic in the bond rank, so the
 per-sample work is linear in the register size at bounded rank.
 
 Every left environment ``E`` is Hermitian, so the draw carries it as the
-real vector ``v = Re E + Im E`` and every per-sample update is a real
-matrix product.  Outcome keys are built for a whole chunk at once, and
-the CSV report is written in one pass over the sorted keys.
+real vector ``v = Re E + Im E``.  The environments of a chunk are stored
+sample-major, one column per sample, so every per-sample update is one
+real matrix product and every elementwise step runs along contiguous rows.
+Each sample keeps the branch of its drawn bit through an exact select on
+the int64 views of the floats, with no branch per sample.  Outcome keys
+are built for a whole chunk at once, and the CSV report is written in one
+pass over the sorted keys.
 
 Qubit positions are 1-based; reported bitstrings list the measured
 positions in ascending order, most significant qubit first.
@@ -127,10 +131,10 @@ class SampleReport:
             keys, lines = counts.keys(), ["bitstring,count,frequency"]
         else:
             keys, lines = counts.keys() | probs.keys(), ["bitstring,count,frequency,probability"]
+        # the "count,frequency" cell depends on the count alone: format each once
+        cells = {c: f"{c},{c / total if total else 0.0!r}" for c in {0, *counts.values()}}
         for key in sorted(keys):
-            count = counts.get(key, 0)
-            frequency = count / total if total else 0.0
-            line = f"{key},{count},{frequency!r}"
+            line = f"{key},{cells[counts.get(key, 0)]}"
             lines.append(line if probs is None else f"{line},{probs.get(key, 0.0)!r}")
         return "\n".join(lines) + "\n"
 
@@ -177,7 +181,8 @@ def _transfer(core: np.ndarray, bit: int | None = None) -> np.ndarray:
     if bit is None:
         return _transfer(core, 0) + _transfer(core, 1)
     sl = core[:, bit, :]
-    return np.kron(sl.conj(), sl)
+    r, s = sl.shape
+    return (sl.conj()[:, None, :, None] * sl[None, :, None, :]).reshape(r * r, s * s)
 
 
 def _real_form(x: np.ndarray) -> np.ndarray:
@@ -191,6 +196,19 @@ def _real_form(x: np.ndarray) -> np.ndarray:
     r = math.isqrt(x.shape[0])
     swapped = x.reshape(r, r, -1).transpose(1, 0, 2).reshape(x.shape)
     return x.real + swapped.imag
+
+
+def _select(kept: np.ndarray, taken: np.ndarray, mask: np.ndarray) -> None:
+    """Exact select without a branch: ``kept`` takes ``taken``'s bits in each
+    column where ``mask`` (int64) is -1 and keeps its own where it is 0.
+
+    On int64 views ``e ^ ((e ^ b) & mask)`` is ``b`` or ``e``, bit for bit,
+    whatever the floats are.  ``taken`` is overwritten.
+    """
+    kept, taken = kept.view(np.int64), taken.view(np.int64)
+    taken ^= kept
+    taken &= mask
+    kept ^= taken
 
 
 # ---------------------------------------------------------------------------
@@ -293,9 +311,10 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
     """Qubit-wise batched sampling; returns (counts per key, clamped mass).
 
     All per-sample work is expressed on flattened environments in real
-    coordinates (:func:`_real_form`), so every update is one real matrix
-    product over the whole chunk; the marginalization transfer to the next
-    measured site is fused into the per-bit update matrices.
+    coordinates (:func:`_real_form`), one column per sample, so every update
+    is one real matrix product over the whole chunk; the marginalization
+    transfer to the next measured site is fused into the per-bit update
+    matrices.  Each sample keeps its chosen branch through :func:`_select`.
     """
     cores = state.cores
     m = len(measured_idx)
@@ -306,19 +325,21 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
         env0 = env0 @ _transfer(cores[i])
     env0 = env0.real + env0.imag
 
-    site_weights = []  # (r*r, 2) probability forms per measured site
+    # sample-major: environments are (r*r, chunk) with sample s in column s,
+    # so the forms are transposed and every elementwise step runs along rows
+    site_weights = []  # (2, r*r) probability forms per measured site
     site_updates = []  # per-bit update matrices, gap transfer included
     for k, i in enumerate(measured_idx):
         updates = [_transfer(cores[i], bit) for bit in (0, 1)]
         # a right-orthonormal suffix contributes the identity environment
         suffix = np.eye(cores[i].shape[2], dtype=np.complex128).reshape(-1)
-        site_weights.append(_real_form(np.stack([u @ suffix for u in updates], axis=1)))
+        site_weights.append(_real_form(np.stack([u @ suffix for u in updates], axis=1)).T.copy())
         gap = None
         if k + 1 < m:
             for j in range(i + 1, measured_idx[k + 1]):
                 step = _transfer(cores[j])
                 gap = step if gap is None else gap @ step
-        site_updates.append([_real_form(u if gap is None else u @ gap) for u in updates])
+        site_updates.append([_real_form(u if gap is None else u @ gap).T.copy() for u in updates])
 
     counts: dict[str, int] = {}
     mass_lost = 0.0
@@ -326,28 +347,30 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
     while remaining > 0:
         chunk = min(remaining, _CHUNK, max(_CHUNK_UNIFORMS // m, 1))
         uniforms = rng.random((chunk, m))
-        env = np.broadcast_to(env0, (chunk, env0.size)).copy()
+        env = np.broadcast_to(env0[:, None], (env0.size, chunk)).copy()
         bits = np.empty((chunk, m), dtype=np.uint8)
         for k in range(m):
-            p = env @ site_weights[k]
+            p = site_weights[k] @ env
             low = p.min()
             if low < 0.0:  # rounding noise: clamp it, and fail below NEGATIVE_TOL
                 if low < NEGATIVE_TOL:
                     raise NegativeProbabilityError(
                         f"conditional entry {low:.3e} below tolerance at site {measured_idx[k] + 1}"
                     )
-                mass_lost = max(mass_lost, float(-np.minimum(p, 0.0).sum(axis=1).min()))
+                mass_lost = max(mass_lost, float(-np.minimum(p, 0.0).sum(axis=0).min()))
                 p = np.clip(p, 0.0, None)
-            total = p[:, 0] + p[:, 1]
-            p0 = np.divide(p[:, 0], total, out=np.full(chunk, 0.5), where=total > 0)
+            total = p[0] + p[1]
+            p0 = np.divide(p[0], total, out=np.full(chunk, 0.5), where=total > 0)
             chosen = uniforms[:, k] >= p0
             bits[:, k] = chosen
             if k + 1 == m:
                 break
-            env, branch1 = env @ site_updates[k][0], env @ site_updates[k][1]
-            np.copyto(env, branch1, where=chosen[:, None])
-            p_chosen = np.where(chosen, p[:, 1], p[:, 0]) / np.where(total > 0, total, 1.0)
-            env /= np.where(p_chosen > 0, p_chosen, 1.0)[:, None]
+            mask = -chosen.astype(np.int64)
+            env, branch1 = site_updates[k][0] @ env, site_updates[k][1] @ env
+            _select(env, branch1, mask)
+            _select(p[0], p[1], mask)
+            p_chosen = p[0] / np.where(total > 0, total, 1.0)
+            env /= np.where(p_chosen > 0, p_chosen, 1.0)
         del uniforms  # the chunk's largest array: free it before the keys exist
         bits += 48  # each row of ASCII digits is one m-byte key; unique sorts them
         keys, key_counts = np.unique(bits.view(f"S{m}")[:, 0], return_counts=True)

@@ -75,12 +75,27 @@ def single_qubit_mpo(matrix: np.ndarray, position: int, n: int) -> MPO:
     return MPO.embed([matrix[None, :, :, None]], position - 1, n)
 
 
+def _controlled_core(place: int, block: np.ndarray) -> np.ndarray:
+    """The core of a controlled gate on its first (``place`` 0), a middle (1)
+    or its last (2) involved qubit: identity on the first bond channel and
+    ``block`` on the second."""
+    rows = ([[IDENTITY, block]], [[IDENTITY, None], [None, block]], [[IDENTITY], [block]])
+    return block_core(rows[place])
+
+
+#: The cores every controlled gate shares, built once: a control by place,
+#: and the pass-through core of a qubit between the involved ones.
+_CONTROL_CORES = tuple(_controlled_core(place, CONTROL_1) for place in range(3))
+_PASS_CORE = _controlled_core(1, IDENTITY)
+
+
 def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
     """Rank-2 operator for a (multi-)controlled gate at arbitrary positions.
 
     Realizes ``I + C x ... x C x (A - I)`` with projectors on the control
     qubits; the bond rank is 2 exactly between the outermost involved
-    qubits and 1 elsewhere, for any ordering of controls and target.
+    qubits and 1 elsewhere, for any ordering of controls and target.  Only
+    the target's core is built per gate; the others are shared.
     """
     controls = tuple(controls)
     if not controls:
@@ -89,18 +104,16 @@ def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (2, 2):
         raise ValueError("target gate must be 2x2")
-    involved = {q: CONTROL_1 for q in controls}
-    involved[target] = matrix - IDENTITY
-    lo, hi = min(involved), max(involved)
+    lo, hi = min(*controls, target), max(*controls, target)
     cores = []
     for q in range(lo, hi + 1):
-        block = involved.get(q, IDENTITY)
-        if q == lo:
-            cores.append(block_core([[IDENTITY, block]]))
-        elif q == hi:
-            cores.append(block_core([[IDENTITY], [block]]))
+        place = 0 if q == lo else 2 if q == hi else 1
+        if q == target:
+            cores.append(_controlled_core(place, matrix - IDENTITY))
+        elif q in controls:
+            cores.append(_CONTROL_CORES[place])
         else:
-            cores.append(block_core([[IDENTITY, None], [None, block]]))
+            cores.append(_PASS_CORE)
     return MPO.embed(cores, lo - 1, n)
 
 

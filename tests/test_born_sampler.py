@@ -208,6 +208,16 @@ def test_real_form_matches_complex_transfer(seed):
                 assert np.max(np.abs(got - (moved.real + moved.imag))) <= 1e-12
 
 
+def test_transfer_has_the_bytes_of_kron():
+    rng = np.random.default_rng(8)
+    for r in range(1, 5):
+        for s in range(1, 5):
+            core = rng.normal(size=(r, 2, s)) + 1j * rng.normal(size=(r, 2, s))
+            for bit in (0, 1):
+                sl = core[:, bit, :]
+                assert bs._transfer(core, bit).tobytes() == np.kron(sl.conj(), sl).tobytes()
+
+
 # ---------------------------------------------------------------------------
 # sampling
 
@@ -384,6 +394,90 @@ def test_sampling_cost_scales_linearly_in_size():
     assert t_large / t_small <= 12.0
 
 
+def test_select_keeps_the_bits_of_every_float():
+    special = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -1.5, 1.0]
+    rng = np.random.default_rng(2)
+    kept = np.array(special + rng.normal(size=40).tolist())
+    taken = np.array(special[::-1] + rng.normal(size=40).tolist())
+    chosen = rng.random(kept.size) < 0.5
+    for rows in (1, 3):
+        a, b = np.tile(kept, (rows, 1)), np.tile(taken, (rows, 1))
+        want = np.where(chosen, b, a)
+        bs._select(a, b, -chosen.astype(np.int64))
+        assert a.tobytes() == want.tobytes()
+
+
+def row_major_draw(state, measured_idx, sample_count, seed):
+    """The draw with one row per sample and masked copies for the select:
+    the reference that ``bs._draw`` must match byte for byte."""
+    cores = state.cores
+    m = len(measured_idx)
+    rng = np.random.default_rng(seed)
+    env0 = np.ones(1, dtype=np.complex128)
+    for i in range(measured_idx[0]):
+        env0 = env0 @ bs._transfer(cores[i])
+    env0 = env0.real + env0.imag
+    site_weights, site_updates = [], []
+    for k, i in enumerate(measured_idx):
+        updates = [bs._transfer(cores[i], bit) for bit in (0, 1)]
+        suffix = np.eye(cores[i].shape[2], dtype=np.complex128).reshape(-1)
+        site_weights.append(bs._real_form(np.stack([u @ suffix for u in updates], axis=1)))
+        gap = None
+        if k + 1 < m:
+            for j in range(i + 1, measured_idx[k + 1]):
+                step = bs._transfer(cores[j])
+                gap = step if gap is None else gap @ step
+        site_updates.append([bs._real_form(u if gap is None else u @ gap) for u in updates])
+    counts, mass_lost, remaining = {}, 0.0, sample_count
+    while remaining > 0:
+        chunk = min(remaining, bs._CHUNK, max(bs._CHUNK_UNIFORMS // m, 1))
+        uniforms = rng.random((chunk, m))
+        env = np.broadcast_to(env0, (chunk, env0.size)).copy()
+        bits = np.empty((chunk, m), dtype=np.uint8)
+        for k in range(m):
+            p = env @ site_weights[k]
+            low = p.min()
+            if low < 0.0:
+                assert low >= bs.NEGATIVE_TOL
+                mass_lost = max(mass_lost, float(-np.minimum(p, 0.0).sum(axis=1).min()))
+                p = np.clip(p, 0.0, None)
+            total = p[:, 0] + p[:, 1]
+            p0 = np.divide(p[:, 0], total, out=np.full(chunk, 0.5), where=total > 0)
+            chosen = uniforms[:, k] >= p0
+            bits[:, k] = chosen
+            if k + 1 == m:
+                break
+            env, branch1 = env @ site_updates[k][0], env @ site_updates[k][1]
+            np.copyto(env, branch1, where=chosen[:, None])
+            p_chosen = np.where(chosen, p[:, 1], p[:, 0]) / np.where(total > 0, total, 1.0)
+            env /= np.where(p_chosen > 0, p_chosen, 1.0)[:, None]
+        for row in bits:
+            key = "".join(map(str, row))
+            counts[key] = counts.get(key, 0) + 1
+        remaining -= chunk
+    return counts, mass_lost
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_draw_matches_the_row_major_reference(seed):
+    rng = np.random.default_rng(seed)
+    for rank in range(1, 6):
+        n = int(rng.integers(2, 9))
+        state = bs._prepare(tc.random_mps(n, rank, seed=int(rng.integers(2 ** 31))))
+        # a random subset: gaps inside it and unmeasured sites on either side
+        measured = sorted(rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False).tolist())
+        for count in (1, 2, 3, 17, 1000):
+            draw_seed = int(rng.integers(2 ** 31))
+            assert bs._draw(state, measured, count, draw_seed) == \
+                row_major_draw(state, measured, count, draw_seed)
+
+
+def test_draw_matches_the_row_major_reference_across_a_chunk_tail():
+    state = bs._prepare(tc.random_mps(4, 3, seed=17))
+    count = bs._CHUNK + 1  # one full chunk and a one-row tail
+    assert bs._draw(state, [0, 2, 3], count, 5) == row_major_draw(state, [0, 2, 3], count, 5)
+
+
 # ---------------------------------------------------------------------------
 # report serialization
 
@@ -401,12 +495,10 @@ def test_report_csv_and_json_shape():
     assert "elapsed" not in json.dumps(payload)  # byte-stable serialization
 
 
-def test_clamped_mass_is_reported_outside_the_serialized_report(monkeypatch):
-    state = bs._prepare(tc.named_state_mps("ghz", 2))
-    plan = bs.MeasurementPlan(measured=(1, 2), sample_count=1000)
-    assert bs.sample(state, plan).clamped_mass == 0.0
-    # rounding noise on outcome 1 of qubit 2: after a first 0 its conditional
-    # is (1, -3e-13); after a first 1 it is (0, 1 - 3e-13) and nothing is clamped
+def add_rounding_noise(monkeypatch, state):
+    """Rounding noise on outcome 1 of qubit 2 of ``state``, the prepared
+    GHZ(2): after a first 0 its conditional is (1, -3e-13); after a first 1
+    it is (0, 1 - 3e-13) and nothing is clamped."""
     transfer = bs._transfer
 
     def noisy_transfer(core, bit=None):
@@ -414,6 +506,13 @@ def test_clamped_mass_is_reported_outside_the_serialized_report(monkeypatch):
         return transfer(core, bit) - 3e-13 if noisy else transfer(core, bit)
 
     monkeypatch.setattr(bs, "_transfer", noisy_transfer)
+
+
+def test_clamped_mass_is_reported_outside_the_serialized_report(monkeypatch):
+    state = bs._prepare(tc.named_state_mps("ghz", 2))
+    plan = bs.MeasurementPlan(measured=(1, 2), sample_count=1000)
+    assert bs.sample(state, plan).clamped_mass == 0.0
+    add_rounding_noise(monkeypatch, state)
     report = bs.sample(state, plan)
     assert set(report.counts) == {"00", "11"}
     assert report.clamped_mass == pytest.approx(3e-13, rel=1e-9, abs=0.0)
@@ -421,6 +520,39 @@ def test_clamped_mass_is_reported_outside_the_serialized_report(monkeypatch):
         "format", "n", "sample_count", "seed", "measured", "counts", "frequencies", "probabilities"
     }
     assert "clamped" not in report.to_csv_text() + report.to_json_text()
+
+
+def test_clamped_draw_matches_the_row_major_reference(monkeypatch):
+    state = bs._prepare(tc.named_state_mps("ghz", 2))
+    add_rounding_noise(monkeypatch, state)
+    counts, clamped = bs._draw(state, [0, 1], 1000, 3)
+    assert clamped > 0.0
+    assert (counts, clamped) == row_major_draw(state, [0, 1], 1000, 3)
+
+
+def csv_line_by_line(report):
+    """The CSV with every cell formatted on its own line: the reference."""
+    counts, probs, total = report.counts, report.probabilities, report.sample_count
+    keys = counts.keys() if probs is None else counts.keys() | probs.keys()
+    lines = ["bitstring,count,frequency" + ("" if probs is None else ",probability")]
+    for key in sorted(keys):
+        count = counts.get(key, 0)
+        frequency = count / total if total else 0.0
+        line = f"{key},{count},{frequency!r}"
+        lines.append(line if probs is None else f"{line},{probs.get(key, 0.0)!r}")
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("with_probabilities", [False, True])
+def test_csv_text_matches_the_line_by_line_formula(with_probabilities):
+    counts = {"000": 3, "011": 1, "101": 3, "110": 1, "111": 5}
+    probs = {"000": 0.25, "001": 0.125, "011": 0.0625, "101": 0.3, "110": 0.1, "111": 1 / 6}
+    for total in (13, 0):
+        report = bs.SampleReport(
+            n=3, sample_count=total, seed=0, measured=(1, 2, 3), counts=counts if total else {},
+            probabilities=probs if with_probabilities else None, elapsed_seconds=0.0,
+        )
+        assert report.to_csv_text() == csv_line_by_line(report)
 
 
 def test_report_without_probabilities():

@@ -9,13 +9,15 @@ environments.  The qubit-wise cost is cubic in the bond rank, so the
 per-sample work is linear in the register size at bounded rank.
 
 Every left environment ``E`` is Hermitian, so the draw carries it as the
-real vector ``v = Re E + Im E``.  The environments of a chunk are stored
-sample-major, one column per sample, so every per-sample update is one
-real matrix product and every elementwise step runs along contiguous rows.
-Each sample keeps the branch of its drawn bit through an exact select on
-the int64 views of the floats, with no branch per sample.  Outcome keys
-are built for a whole chunk at once, and the CSV report is written in one
-pass over the sorted keys.
+real vector ``v = Re E + Im E``.  Samples are drawn in cache-sized
+blocks of rows from one seeded stream.  The environments of a block are
+stored sample-major, one column per sample, so every per-sample update is
+one real matrix product and every elementwise step runs along contiguous
+rows; the block's uniforms and bits are stored site-major, so each site
+reads and writes one contiguous row.  Each sample keeps the branch of its
+drawn bit through an exact select on the int64 views of the floats, with
+no branch per sample.  Outcome keys are built for a whole block at once,
+and the CSV report is streamed line by line over the sorted keys.
 
 Qubit positions are 1-based; reported bitstrings list the measured
 positions in ascending order, most significant qubit first.
@@ -27,7 +29,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Iterator, Mapping
 
 import numpy as np
 
@@ -48,12 +50,13 @@ NEGATIVE_TOL = -1e-12
 #: Auto-include exact probabilities in reports up to this many outcomes.
 _AUTO_PROB_OUTCOMES = 4096
 
-_CHUNK = 1 << 16
+#: Rows (samples) drawn per block at most.
+_CHUNK = 1 << 13
 
-#: Uniforms drawn per chunk at most (32 MB of float64): wide readouts get
-#: fewer rows per chunk.  The stream is row-major, so rows drawn in smaller
-#: chunks are the same numbers.
-_CHUNK_UNIFORMS = 1 << 22
+#: Uniforms drawn per block at most (4 MB of float64): wide readouts get
+#: fewer rows per block.  The stream is row-major, so rows drawn in smaller
+#: blocks are the same numbers.
+_CHUNK_UNIFORMS = 1 << 19
 
 
 class ZeroProbabilityError(ValueError):
@@ -124,19 +127,27 @@ class SampleReport:
             return {k: 0.0 for k in self.counts}
         return {k: v / self.sample_count for k, v in self.counts.items()}
 
-    def to_csv_text(self) -> str:
-        """One line per sorted outcome; floats are written with ``repr``."""
+    def csv_lines(self) -> Iterator[str]:
+        """The CSV one line at a time, each ending in ``\\n``: a header, then
+        one line per sorted outcome; floats are written with ``repr``."""
         counts, probs, total = self.counts, self.probabilities, self.sample_count
         if probs is None:
-            keys, lines = counts.keys(), ["bitstring,count,frequency"]
+            keys = counts.keys()
+            yield "bitstring,count,frequency\n"
         else:
-            keys, lines = counts.keys() | probs.keys(), ["bitstring,count,frequency,probability"]
+            keys = counts.keys() | probs.keys()
+            yield "bitstring,count,frequency,probability\n"
         # the "count,frequency" cell depends on the count alone: format each once
         cells = {c: f"{c},{c / total if total else 0.0!r}" for c in {0, *counts.values()}}
         for key in sorted(keys):
-            line = f"{key},{cells[counts.get(key, 0)]}"
-            lines.append(line if probs is None else f"{line},{probs.get(key, 0.0)!r}")
-        return "\n".join(lines) + "\n"
+            if probs is None:
+                yield f"{key},{cells[counts.get(key, 0)]}\n"
+            else:
+                yield f"{key},{cells[counts.get(key, 0)]},{probs.get(key, 0.0)!r}\n"
+
+    def to_csv_text(self) -> str:
+        """The whole CSV of :meth:`csv_lines` as one string."""
+        return "".join(self.csv_lines())
 
     def to_json_dict(self) -> dict:
         return {
@@ -312,9 +323,11 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
 
     All per-sample work is expressed on flattened environments in real
     coordinates (:func:`_real_form`), one column per sample, so every update
-    is one real matrix product over the whole chunk; the marginalization
+    is one real matrix product over the whole block; the marginalization
     transfer to the next measured site is fused into the per-bit update
     matrices.  Each sample keeps its chosen branch through :func:`_select`.
+    Uniforms and bits are held site-major, ``(m, rows)``, so site ``k``
+    reads and writes row ``k``.
     """
     cores = state.cores
     m = len(measured_idx)
@@ -325,7 +338,7 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
         env0 = env0 @ _transfer(cores[i])
     env0 = env0.real + env0.imag
 
-    # sample-major: environments are (r*r, chunk) with sample s in column s,
+    # sample-major: environments are (r*r, rows) with sample s in column s,
     # so the forms are transposed and every elementwise step runs along rows
     site_weights = []  # (2, r*r) probability forms per measured site
     site_updates = []  # per-bit update matrices, gap transfer included
@@ -345,10 +358,11 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
     mass_lost = 0.0
     remaining = sample_count
     while remaining > 0:
-        chunk = min(remaining, _CHUNK, max(_CHUNK_UNIFORMS // m, 1))
-        uniforms = rng.random((chunk, m))
-        env = np.broadcast_to(env0[:, None], (env0.size, chunk)).copy()
-        bits = np.empty((chunk, m), dtype=np.uint8)
+        rows = min(remaining, _CHUNK, max(_CHUNK_UNIFORMS // m, 1))
+        # drawn row-major as one stream, held site-major: site k reads row k
+        uniforms = rng.random((rows, m)).T.copy()
+        env = np.broadcast_to(env0[:, None], (env0.size, rows)).copy()
+        bits = np.empty((m, rows), dtype=np.uint8)
         for k in range(m):
             p = site_weights[k] @ env
             low = p.min()
@@ -360,24 +374,25 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
                 mass_lost = max(mass_lost, float(-np.minimum(p, 0.0).sum(axis=0).min()))
                 p = np.clip(p, 0.0, None)
             total = p[0] + p[1]
-            p0 = np.divide(p[0], total, out=np.full(chunk, 0.5), where=total > 0)
-            chosen = uniforms[:, k] >= p0
-            bits[:, k] = chosen
+            positive = total > 0
+            p0 = np.divide(p[0], total, out=np.full(rows, 0.5), where=positive)
+            chosen = np.greater_equal(uniforms[k], p0, out=bits[k].view(bool))
             if k + 1 == m:
                 break
-            mask = -chosen.astype(np.int64)
+            mask = np.negative(chosen, dtype=np.int64)
             env, branch1 = site_updates[k][0] @ env, site_updates[k][1] @ env
             _select(env, branch1, mask)
             _select(p[0], p[1], mask)
-            p_chosen = p[0] / np.where(total > 0, total, 1.0)
+            p_chosen = p[0] / np.where(positive, total, 1.0)
             env /= np.where(p_chosen > 0, p_chosen, 1.0)
-        del uniforms  # the chunk's largest array: free it before the keys exist
+        del uniforms  # the block's largest array: free it before the keys exist
+        bits = bits.T.copy()  # one sample per row
         bits += 48  # each row of ASCII digits is one m-byte key; unique sorts them
         keys, key_counts = np.unique(bits.view(f"S{m}")[:, 0], return_counts=True)
         for key, c in zip(keys.tolist(), key_counts.tolist()):
             key = key.decode()
             counts[key] = counts.get(key, 0) + c
-        remaining -= chunk
+        remaining -= rows
     return counts, mass_lost
 
 

@@ -2,6 +2,7 @@
 
 import json
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from numpy.testing import assert_allclose
 
 from mpoq import born_sampler as bs
 from mpoq import circuit_catalog as cat
+from mpoq import cli
 from mpoq import dense_oracle as oracle
 from mpoq import tensor_core as tc
 from mpoq.gate_library import HADAMARD, PAULI_X, GatePlacement
@@ -476,6 +478,49 @@ def test_draw_matches_the_row_major_reference_across_a_chunk_tail():
     state = bs._prepare(tc.random_mps(4, 3, seed=17))
     count = bs._CHUNK + 1  # one full chunk and a one-row tail
     assert bs._draw(state, [0, 2, 3], count, 5) == row_major_draw(state, [0, 2, 3], count, 5)
+
+
+@pytest.fixture(scope="module")
+def adder_draw():
+    """The adder workload: qfa-network(100), its 101 outputs and their default 20,000-sample draw."""
+    run = cat.run_gate_sequence(
+        cat.GateGroupSequence((cat.full_adder_network_mpo(100),)), cat.full_adder_network_input(100)
+    )
+    outputs = cat.full_adder_network_outputs(100)
+    state = bs._prepare(run.state)
+    measured = [p - 1 for p in outputs]
+    return state, outputs, bs._draw(state, measured, 20_000, 5)
+
+
+# one block; three full blocks and a 2-row tail (20,000 = 3 * 6,666 + 2);
+# one full block and a 1-row tail
+@pytest.mark.parametrize("rows", [20_000, 6_666, 19_999])
+def test_blocks_do_not_change_the_adder_draw(monkeypatch, adder_draw, rows):
+    state, outputs, default = adder_draw
+    m = len(outputs)
+    assert 3 * max(bs._CHUNK_UNIFORMS // m, 1) < 20_000  # by default four blocks
+    monkeypatch.setattr(bs, "_CHUNK", rows)
+    monkeypatch.setattr(bs, "_CHUNK_UNIFORMS", rows * m)
+    assert bs._draw(state, [p - 1 for p in outputs], 20_000, 5) == default
+
+
+def test_adder_sampling_and_its_csv_stay_small(tmp_path, adder_draw):
+    state, outputs, _ = adder_draw
+    plan = bs.MeasurementPlan(measured=tuple(outputs), sample_count=20_000, seed=5)
+    out = tmp_path / "adder.csv"
+    tracemalloc.start()
+    try:
+        report = bs.sample(state, plan)
+        sample_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        cli._write_report(report, str(out), "csv", None)
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert sample_peak < 14e6  # one block of uniforms, not the whole run's
+    assert write_peak < 1e6  # the CSV is streamed, never held whole
+    assert out.read_bytes() == report.to_csv_text().encode()
 
 
 # ---------------------------------------------------------------------------

@@ -51,7 +51,7 @@ NEGATIVE_TOL = -1e-12
 _AUTO_PROB_OUTCOMES = 4096
 
 #: Rows (samples) drawn per block at most.
-_CHUNK = 1 << 13
+_CHUNK = 1 << 16
 
 #: Uniforms drawn per block at most (4 MB of float64): wide readouts get
 #: fewer rows per block.  The stream is row-major, so rows drawn in smaller

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
 import json
 import math
 import re
@@ -361,17 +360,11 @@ def cmd_simulate(args) -> int:
     return EXIT_OK
 
 
-#: CSV lines joined per write (about 110 kB at 101 measured bits).
-_CSV_BATCH = 1024
-
-
 def _write_report(report: SampleReport, out: str | None, fmt: str, shor_rows) -> None:
     if not out:
         return
     if fmt == "csv":
-        # streamed in batches of lines: one write per batch, never the whole text
-        lines = report.csv_lines()
-        texts = iter(lambda: "".join(itertools.islice(lines, _CSV_BATCH)), "")
+        texts = report.csv_lines()  # streamed line by line, never the whole text
     else:
         payload = report.to_json_dict()
         payload["version"] = __version__

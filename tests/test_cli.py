@@ -530,7 +530,7 @@ GOLDEN_OUTPUTS = {
         ["--builtin", "simon", "--samples", "0"],
         "26dddabd56111ba903ad29ce99184105a25b46630783aa3d39e3799465bca2a4",
     ),
-    "above-one-chunk": (  # 70,000 samples: eight full blocks of born_sampler._CHUNK rows and a tail
+    "above-one-chunk": (  # 70,000 samples span two blocks: 47,662 rows (2**19 uniforms // 11) and a tail
         ["--builtin", "qfa-network(10)", "--samples", "70000", "--seed", "11"],
         "56ed04c373a0512a2308a2b0d15e0b5382461cda7ad193ce8ef821cb4737cfbb",
     ),

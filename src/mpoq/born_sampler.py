@@ -10,14 +10,18 @@ per-sample work is linear in the register size at bounded rank.
 
 Every left environment ``E`` is Hermitian, so the draw carries it as the
 real vector ``v = Re E + Im E``.  Samples are drawn in cache-sized
-blocks of rows from one seeded stream.  The environments of a block are
-stored sample-major, one column per sample, so every per-sample update is
-one real matrix product and every elementwise step runs along contiguous
-rows; the block's uniforms and bits are stored site-major, so each site
-reads and writes one contiguous row.  Each sample keeps the branch of its
-drawn bit through an exact select on the int64 views of the floats, with
-no branch per sample.  Outcome keys are built for a whole block at once,
-and the CSV report is streamed line by line over the sorted keys.
+blocks of rows from one seeded stream; a block's rows are capped by the
+measured-qubit count and by the largest environment size r².  The
+environments of a block are stored sample-major, one column per sample, so
+every per-sample update is one real matrix product and every elementwise
+step runs along contiguous rows; the block's uniforms and bits are stored
+site-major, so each site reads and writes one contiguous row.  The
+uniform, bit and key buffers are allocated once per draw and reused by
+every block, and the uniforms are filled in cache-sized steps of rows.
+Each sample keeps the branch of its drawn bit through an exact select on
+the int64 views of the floats, with no branch per sample.  Outcome keys
+are built for a whole block at once, and the CSV report is streamed line
+by line over the sorted keys.
 
 Qubit positions are 1-based; reported bitstrings list the measured
 positions in ascending order, most significant qubit first.
@@ -53,10 +57,15 @@ _AUTO_PROB_OUTCOMES = 4096
 #: Rows (samples) drawn per block at most.
 _CHUNK = 1 << 16
 
-#: Uniforms drawn per block at most (4 MB of float64): wide readouts get
-#: fewer rows per block.  The stream is row-major, so rows drawn in smaller
-#: blocks are the same numbers.
+#: Uniforms drawn per block at most (4 MB of float64), and floats per
+#: environment array: wide readouts and high bond ranks get fewer rows per
+#: block.  The stream is row-major, so rows drawn in smaller blocks are the
+#: same numbers.
 _CHUNK_UNIFORMS = 1 << 19
+
+#: Uniforms drawn per call at most (128 KB of float64, cache-resident) while
+#: a block's site-major uniforms are filled; the same numbers again.
+_STEP_UNIFORMS = 1 << 14
 
 
 class ZeroProbabilityError(ValueError):
@@ -327,7 +336,12 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
     transfer to the next measured site is fused into the per-bit update
     matrices.  Each sample keeps its chosen branch through :func:`_select`.
     Uniforms and bits are held site-major, ``(m, rows)``, so site ``k``
-    reads and writes row ``k``.
+    reads and writes row ``k``; their buffers and the key buffer are
+    allocated once, for the largest block, and every block reuses them.  A
+    block holds at most ``_CHUNK`` rows, ``_CHUNK_UNIFORMS`` uniforms and
+    ``_CHUNK_UNIFORMS`` floats per environment array (r² per row), and its
+    uniforms are drawn in steps of at most ``_STEP_UNIFORMS``: the stream is
+    row-major, so every split gives the same numbers.
     """
     cores = state.cores
     m = len(measured_idx)
@@ -354,15 +368,23 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
                 gap = step if gap is None else gap @ step
         site_updates.append([_real_form(u if gap is None else u @ gap).T.copy() for u in updates])
 
+    r2 = max(w.shape[1] for w in site_weights)  # the widest environment
+    block = min(sample_count, _CHUNK, max(_CHUNK_UNIFORMS // max(m, r2), 1))
+    step = max(_STEP_UNIFORMS // m, 1)
+    uniforms = np.empty((m, block))
+    bits = np.empty((m, block), dtype=np.uint8)
+    keys_buf = np.empty((block, m), dtype=np.uint8)
     counts: dict[str, int] = {}
     mass_lost = 0.0
     remaining = sample_count
     while remaining > 0:
-        rows = min(remaining, _CHUNK, max(_CHUNK_UNIFORMS // m, 1))
-        # drawn row-major as one stream, held site-major: site k reads row k
-        uniforms = rng.random((rows, m)).T.copy()
+        rows = min(remaining, block)
+        # drawn row-major as one stream in cache-sized steps, held site-major
+        for a in range(0, rows, step):
+            b = min(a + step, rows)
+            uniforms[:, a:b] = rng.random((b - a, m)).T
+        drawn, chosen_bits = uniforms[:, :rows], bits[:, :rows].view(bool)
         env = np.broadcast_to(env0[:, None], (env0.size, rows)).copy()
-        bits = np.empty((m, rows), dtype=np.uint8)
         for k in range(m):
             p = site_weights[k] @ env
             low = p.min()
@@ -376,7 +398,7 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
             total = p[0] + p[1]
             positive = total > 0
             p0 = np.divide(p[0], total, out=np.full(rows, 0.5), where=positive)
-            chosen = np.greater_equal(uniforms[k], p0, out=bits[k].view(bool))
+            chosen = np.greater_equal(drawn[k], p0, out=chosen_bits[k])
             if k + 1 == m:
                 break
             mask = np.negative(chosen, dtype=np.int64)
@@ -385,10 +407,9 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
             _select(p[0], p[1], mask)
             p_chosen = p[0] / np.where(positive, total, 1.0)
             env /= np.where(p_chosen > 0, p_chosen, 1.0)
-        del uniforms  # the block's largest array: free it before the keys exist
-        bits = bits.T.copy()  # one sample per row
-        bits += 48  # each row of ASCII digits is one m-byte key; unique sorts them
-        keys, key_counts = np.unique(bits.view(f"S{m}")[:, 0], return_counts=True)
+        # one sample per row of ASCII digits: each row is one m-byte key; unique sorts them
+        keys = np.add(bits[:, :rows].T, 48, out=keys_buf[:rows])
+        keys, key_counts = np.unique(keys.view(f"S{m}")[:, 0], return_counts=True)
         for key, c in zip(keys.tolist(), key_counts.tolist()):
             key = key.decode()
             counts[key] = counts.get(key, 0) + c

@@ -283,8 +283,9 @@ def test_uniform_cap_splits_chunks_without_changing_samples(monkeypatch, cap):
     monkeypatch.setattr(bs, "_CHUNK_UNIFORMS", cap)
     monkeypatch.setattr(bs.np.random, "default_rng", Recording)
     split = bs.sample(state, plan)
-    # 1000 rows of 7 per chunk; a cap below one row still draws one row
-    rows = max(cap // 7, 1)
+    # r² = 9 > m = 7 caps the rows: 778 per chunk; a cap below one row
+    # still draws one row
+    rows = max(cap // 9, 1)
     assert [s[0] for s in shapes] == [rows] * (3000 // rows) + ([3000 % rows] if 3000 % rows else [])
     assert split.counts == whole.counts
     assert split.to_csv_text() == whole.to_csv_text()
@@ -492,16 +493,42 @@ def adder_draw():
     return state, outputs, bs._draw(state, measured, 20_000, 5)
 
 
-# one block; three full blocks and a 2-row tail (20,000 = 3 * 6,666 + 2);
-# one full block and a 1-row tail
-@pytest.mark.parametrize("rows", [20_000, 6_666, 19_999])
-def test_blocks_do_not_change_the_adder_draw(monkeypatch, adder_draw, rows):
+# blocks of rows: one block; three full blocks and a 2-row tail
+# (20,000 = 3 * 6,666 + 2); one full block and a 1-row tail.  Steps of rows
+# that fill a block's uniforms: the default; one row; 97 rows, which divide
+# no block; at least a whole block
+_BLOCK_CASES = [pytest.param(rows, None, id=str(rows)) for rows in (20_000, 6_666, 19_999)] + [
+    pytest.param(rows, step_rows, id=f"{rows}-step{step_rows}")
+    for rows in (20_000, 6_666, 19_999)
+    for step_rows in (1, 97, 20_000)
+]
+
+
+@pytest.mark.parametrize("rows, step_rows", _BLOCK_CASES)
+def test_blocks_do_not_change_the_adder_draw(monkeypatch, adder_draw, rows, step_rows):
     state, outputs, default = adder_draw
     m = len(outputs)
     assert 3 * max(bs._CHUNK_UNIFORMS // m, 1) < 20_000  # by default four blocks
     monkeypatch.setattr(bs, "_CHUNK", rows)
     monkeypatch.setattr(bs, "_CHUNK_UNIFORMS", rows * m)
+    if step_rows is not None:
+        monkeypatch.setattr(bs, "_STEP_UNIFORMS", step_rows * m)
     assert bs._draw(state, [p - 1 for p in outputs], 20_000, 5) == default
+
+
+def test_high_rank_blocks_are_capped_by_their_environments():
+    # r² = 256 at the measured sites: 2,048 rows per block, not all 8,192, so one
+    # (r², rows) environment array is 4 MB, whatever the readout width
+    state = bs._prepare(tc.random_mps(10, 16, seed=3))
+    assert max(state.cores[i].shape[0] for i in (4, 5)) ** 2 == 256
+    tracemalloc.start()
+    try:
+        counts = bs._draw(state, [4, 5], 8192, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts == row_major_draw(state, [4, 5], 8192, 7)
+    assert peak < 30e6
 
 
 def test_adder_sampling_and_its_csv_stay_small(tmp_path, adder_draw):
@@ -518,7 +545,7 @@ def test_adder_sampling_and_its_csv_stay_small(tmp_path, adder_draw):
         write_peak = tracemalloc.get_traced_memory()[1] - held
     finally:
         tracemalloc.stop()
-    assert sample_peak < 14e6  # one block of uniforms, not the whole run's
+    assert sample_peak < 11.5e6  # one reused block of uniforms, no per-block copies
     assert write_peak < 1e6  # the CSV is streamed, never held whole
     assert out.read_bytes() == report.to_csv_text().encode()
 

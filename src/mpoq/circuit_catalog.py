@@ -216,8 +216,8 @@ def _qft_core(place: str, k: int, form: str) -> np.ndarray:
     """The one shared, sealed copy of a QFT group core at ``place``:
     ``"top"`` (the Hadamard split over the bond), ``"middle"`` or ``"last"``
     (phase ``k``) or ``"single"`` (the last group's Hadamard), in ``form``
-    ``""``, ``"conj"`` or ``"adjoint"`` (what :meth:`MPO.conj` or
-    :meth:`MPO.adjoint` would make of it)."""
+    ``""``, ``"conj"`` (every entry conjugated) or ``"adjoint"``
+    (:func:`adjoint_core` of it)."""
     if form:
         core = _qft_core(place, k, "")
         return sealed(core.conj() if form == "conj" else adjoint_core(core))

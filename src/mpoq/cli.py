@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import heapq
 import json
 import math
 import re
@@ -384,15 +385,14 @@ def _print_summary(circuit: catalog.Circuit, run, report: SampleReport, shor_row
     )
     if report.clamped_mass > 0:
         print(f"clamped probability mass {report.clamped_mass:.3e} (negative rounding noise set to 0)")
-    rows = sorted(
-        report.counts.items() if report.counts else (report.probabilities or {}).items(),
-        key=lambda kv: -kv[1],
-    )
-    for key, value in rows[:8]:
+    # largest count first, ties by bitstring, so the lines do not depend on
+    # the order the sampler's blocks inserted the outcomes in
+    outcomes = report.counts or report.probabilities or {}
+    for key, value in heapq.nsmallest(8, outcomes.items(), key=lambda kv: (-kv[1], kv[0])):
         prob = "" if report.probabilities is None else f"  p={report.probabilities.get(key, 0.0):.6f}"
         print(f"  {key}  {value}{prob}")
-    if len(rows) > 8:
-        print(f"  ... {len(rows) - 8} more outcomes")
+    if len(outcomes) > 8:
+        print(f"  ... {len(outcomes) - 8} more outcomes")
     if shor_rows:
         for row in shor_rows:
             outcome = f"factors {row.factors}" if row.factors else f"no factors ({row.failure})"

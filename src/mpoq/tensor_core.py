@@ -6,19 +6,18 @@ with the row (output) physical index first.  Boundary bond dimensions are
 always 1.  All values are immutable after construction: every operation
 returns a new object, and the stored arrays are marked read-only so they
 can be shared freely across threads.  The site steps at the end of the
-module (``svd_step``, ``move_center``, ``apply_window``) are the
-exception: they replace entries of a caller-owned list of state cores in
-place, so an executor can keep one chain in mixed-canonical form across
-many operators.  ``move_center`` is the one sweep loop: orthonormalization,
-compression and the re-rounding of an applied window all run through it.
-At the small ranks of the catalog circuits the Python around each tiny
-matrix costs as much as the arithmetic, so ``svd_step`` is one body: one
+module (``move_center``, ``apply_window``) are the exception: they replace
+entries of a caller-owned list of state cores in place, so an executor can
+keep one chain in mixed-canonical form across many operators.
+``move_center`` is the one sweep loop and the one SVD site step:
+orthonormalization, compression and the re-rounding of an applied window
+all run through it.  At the small ranks of the catalog circuits the Python
+around each tiny matrix costs as much as the arithmetic, so a step is one
 reshape in, numpy's thin-SVD gufunc called directly (the call
 ``np.linalg.svd(..., full_matrices=False)`` makes for complex input),
 slices only when the policy cuts, one reshape out and one product into
-the neighbour.  ``move_center`` enters one ``np.errstate`` per sweep, not
-one per SVD, that turns a failed or NaN SVD into
-``numpy.linalg.LinAlgError``.
+the neighbour, all under one ``np.errstate`` per sweep, not one per SVD,
+that turns a failed or NaN SVD into ``numpy.linalg.LinAlgError``.
 
 An operator stores only the cores of the sites it acts on, its window
 ``MPO.span``, plus the register size ``MPO.n``; it is the identity on every
@@ -39,8 +38,8 @@ operators.
 
 Bond indices use one fixed lumping convention throughout (first index
 varies fastest, i.e. Fortran-order reshapes), which keeps the SVD sweeps
-deterministic; ``svd_step`` unfolds and folds its core with one such
-reshape each.
+deterministic; each step of ``move_center`` unfolds and folds its core
+with one such reshape each.
 """
 
 from __future__ import annotations
@@ -309,14 +308,6 @@ class MPO:
             raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
         return MPO([apply_core(g, h) for g, h in zip(self.padded(), other.padded())])
 
-    def conj(self) -> "MPO":
-        """Elementwise complex conjugate of the represented operator."""
-        return MPO.embed([c.conj() for c in self.cores], self.span[0], self.n)
-
-    def adjoint(self) -> "MPO":
-        """Conjugate transpose of the represented operator."""
-        return MPO.embed([adjoint_core(c) for c in self.cores], self.span[0], self.n)
-
 
 def adjoint_core(core: np.ndarray) -> np.ndarray:
     """The core of the adjoint operator at one site: the row and column
@@ -556,39 +547,31 @@ def _svd_failed(err, flag):
     raise np.linalg.LinAlgError("SVD did not converge")
 
 
-def svd_step(cores: list, i: int, step: int, policy: TruncationPolicy) -> None:
-    """Truncating split of site ``i`` toward ``i + step`` (+1 or -1).
-
-    Core ``i`` becomes left- (+1) or right-orthonormal (-1) with the bond
-    to the neighbour cut by ``policy``; the singular values and the other
-    factor move into the neighbour.  Run it through :func:`move_center`,
-    whose errstate raises ``LinAlgError`` where the SVD fails.
-    """
-    r, d, s = cores[i].shape
-    # the unfolding lumps (r, d) for a step right, (d, s) for a step left,
-    # first index fastest
-    u, sv, vh = _SVD(cores[i].reshape((r * d, s) if step > 0 else (r, d * s), order="F"),
-                     signature="D->DdD")
-    keep = policy.keep_count(sv)
-    if keep < len(sv):
-        u, sv, vh = u[:, :keep], sv[:keep], vh[:keep]
-    if step > 0:
-        cores[i] = u.reshape(r, d, keep, order="F")
-        cores[i + 1] = _left_multiplied(cores[i + 1], sv[:, None] * vh)
-    else:
-        cores[i] = vh.reshape(keep, d, s, order="F")
-        cores[i - 1] = cores[i - 1] @ (u * sv)
-
-
 def move_center(cores: list, center: int, target: int, policy: TruncationPolicy = LOSSLESS) -> int:
     """Steps from ``center`` to ``target``, each bond on the way cut by
-    ``policy``; returns ``target``.  The one sweep loop of the module.
-    Raises ``numpy.linalg.LinAlgError`` if an SVD fails to converge or
-    meets a NaN."""
+    ``policy``; returns ``target``.  The one sweep loop and the one site
+    step of the module: each site it leaves becomes left- (stepping right)
+    or right-orthonormal (stepping left), and the singular values and the
+    other factor move into the next site.  Raises
+    ``numpy.linalg.LinAlgError`` if an SVD fails to converge or meets a
+    NaN."""
     step = 1 if target > center else -1
     with np.errstate(invalid="call", call=_svd_failed):
         for i in range(center, target, step):
-            svd_step(cores, i, step, policy)
+            r, d, s = cores[i].shape
+            # the unfolding lumps (r, d) for a step right, (d, s) for a step
+            # left, first index fastest
+            u, sv, vh = _SVD(cores[i].reshape((r * d, s) if step > 0 else (r, d * s), order="F"),
+                             signature="D->DdD")
+            keep = policy.keep_count(sv)
+            if keep < len(sv):
+                u, sv, vh = u[:, :keep], sv[:keep], vh[:keep]
+            if step > 0:
+                cores[i] = u.reshape(r, d, keep, order="F")
+                cores[i + 1] = _left_multiplied(cores[i + 1], sv[:, None] * vh)
+            else:
+                cores[i] = vh.reshape(keep, d, s, order="F")
+                cores[i - 1] = cores[i - 1] @ (u * sv)
     return target
 
 

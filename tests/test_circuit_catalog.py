@@ -335,7 +335,8 @@ def test_qft_sequence_stores_core_references_not_core_copies():
 
 def test_shared_cores_leave_the_svd_count_unchanged(monkeypatch):
     # counts recorded before the QFT groups shared their cores and before
-    # svd_step became one body: the arithmetic is the same step for step
+    # the site step became one body in move_center: the arithmetic is the
+    # same step for step
     calls = []
     svd = tc._SVD
 

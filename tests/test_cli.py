@@ -15,6 +15,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from mpoq import born_sampler as bs
 from mpoq import circuit_catalog as catalog
 from mpoq import cli
 from mpoq import dense_oracle as oracle
@@ -579,6 +580,22 @@ def test_clamped_mass_gets_a_summary_line(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert "clamped probability mass 3.000e-13" in out
     assert "clamped" not in out_path.read_text()
+
+
+def test_summary_outcomes_do_not_depend_on_the_block_size(monkeypatch, capsys):
+    # 2000 samples over 2^9 outcomes: many counts tie, and 2^10 uniforms cut
+    # the draw into 32 blocks of 64 rows, each inserting its new outcomes
+    printed = []
+    for cap in (1 << 19, 1 << 10):
+        monkeypatch.setattr(bs, "_CHUNK_UNIFORMS", cap)
+        code, out, _ = run_cli(
+            ["simulate", "--builtin", "qfa-network(8)", "--samples", "2000", "--seed", "1"], capsys
+        )
+        assert code == 0
+        printed.append([line for line in out.splitlines() if line.startswith("  ")])
+    assert len(printed[0]) == 9 and printed[0] == printed[1]
+    ranked = [(-int(count), key) for key, count, *_ in map(str.split, printed[0][:8])]
+    assert ranked == sorted(ranked)
 
 
 def test_simulate_measure_and_postselect(tmp_path, capsys):

@@ -245,22 +245,12 @@ def test_dimension_mismatch_raises():
         random_mpo(3, 2, seed=0) @ random_mpo(4, 2, seed=0)
 
 
-def test_adjoint_and_conj():
-    op = random_mpo(4, 2, seed=8)
-    dense = op.to_dense()
-    assert_allclose(op.adjoint().to_dense(), dense.conj().T, atol=1e-12)
-    assert_allclose(op.conj().to_dense(), dense.conj(), atol=1e-12)
-
-
 def test_embed_records_its_span():
     y = np.array([[0.0, -1j], [1j, 0.0]])[None, :, :, None]
     op = tc.MPO.embed([y], 1, 3)
     assert op.span == (1, 1) and tc.MPO([y, y]).span == (0, 1)
     assert_allclose(op.to_dense(), kron_chain([IDENTITY, y[0, :, :, 0], IDENTITY]), atol=0)
-    # conj and adjoint keep the window; a product is a full-span operator
-    assert op.conj().span == op.adjoint().span == (1, 1)
-    assert_allclose(op.conj().to_dense(), op.to_dense().conj(), atol=0)
-    assert_allclose(op.adjoint().to_dense(), op.to_dense().conj().T, atol=0)
+    # a product is a full-span operator
     assert (op @ op).span == tc.mpo_add(op, op).span == (0, 2)
     with pytest.raises(ValueError):
         tc.MPO.embed([y, y], 2, 3)
@@ -283,8 +273,7 @@ resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 y = np.array([[0.0, -1j], [1j, 0.0]])[None, :, :, None]
 n = 10**9
 op = tc.MPO.embed([y], n - 1, n)
-for lifted in (op, op.conj(), op.adjoint()):
-    assert lifted.n == n and lifted.span == (n - 1, n - 1) and len(lifted.cores) == 1
+assert op.n == n and op.span == (n - 1, n - 1) and len(op.cores) == 1
 """
     root = Path(__file__).resolve().parent.parent
     pythonpath = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
@@ -329,8 +318,6 @@ def test_window_operators_match_their_kron_reference(seed):
     assert_allclose((a @ b).to_dense(), dense_a @ dense_b, atol=1e-10)
     assert_allclose(tc.mpo_add(a, b).to_dense(), dense_a + dense_b, atol=1e-10)
     assert_allclose(tc.compress_mpo(a).to_dense(), dense_a, atol=1e-10)
-    assert_allclose(a.conj().to_dense(), dense_a.conj(), atol=1e-12)
-    assert_allclose(a.adjoint().to_dense(), dense_a.conj().T, atol=1e-12)
     bond = int(rng.integers(0, n - 1))
     r = a.ranks[bond + 1]
     q = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) + 2 * np.eye(r)
@@ -575,7 +562,7 @@ def test_svd_step_is_byte_equal_to_the_numpy_reference(policy, step):
     cut = 0
     for chain in _kernel_chains():
         got, want = list(chain), list(chain)
-        tc.svd_step(got, 1, step, policy)
+        tc.move_center(got, 1, 1 + step, policy)
         _reference_svd_step(want, 1, step, policy)
         assert all(_same_bytes(g, w) for g, w in zip(got, want))
         cut += got[1].shape[0 if step < 0 else 2] < chain[1].shape[0 if step < 0 else 2]

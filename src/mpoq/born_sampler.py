@@ -268,7 +268,7 @@ def marginal_distribution(state: MPS, measured) -> np.ndarray:
     return probs.reshape((2,) * len(measured))
 
 
-def postselect(state: MPS, assignment: Mapping[int, int], eps_zero: float = EPS_ZERO) -> PostselectResult:
+def postselect(state: MPS, assignment: Mapping[int, int]) -> PostselectResult:
     """Condition the state on fixed bits at the assigned 1-based positions.
 
     The assigned cores are sliced at their fixed physical index and absorbed
@@ -298,7 +298,7 @@ def postselect(state: MPS, assignment: Mapping[int, int], eps_zero: float = EPS_
     if not kept_cores:
         amplitude = pending[0, 0]
         probability = float(abs(amplitude) ** 2)
-        if probability <= eps_zero:
+        if probability <= EPS_ZERO:
             raise ZeroProbabilityError(f"postselected outcome has probability {probability:.3e}")
         return PostselectResult(None, probability, ())
     if pending.shape != (1, 1) or pending[0, 0] != 1.0:
@@ -306,7 +306,7 @@ def postselect(state: MPS, assignment: Mapping[int, int], eps_zero: float = EPS_
     conditioned = MPS(kept_cores)
     norm = conditioned.norm()
     probability = float(norm ** 2)
-    if probability <= eps_zero:
+    if probability <= EPS_ZERO:
         raise ZeroProbabilityError(f"postselected outcome has probability {probability:.3e}")
     return PostselectResult(conditioned.scaled(1.0 / norm), probability, tuple(remaining))
 

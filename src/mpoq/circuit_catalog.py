@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Callable, Mapping
+from typing import Callable
 
 import numpy as np
 
@@ -85,11 +85,11 @@ def full_adder_mpo() -> MPO:
 def full_adder_gate_placements() -> tuple[GatePlacement, ...]:
     """The five elementary gates of the adder, in application order."""
     return (
-        GatePlacement(PAULI_X, target=4, controls=(2, 3), name="ccnot"),
-        GatePlacement(PAULI_X, target=3, controls=(2,), name="cnot"),
-        GatePlacement(PAULI_X, target=4, controls=(1, 3), name="ccnot"),
-        GatePlacement(PAULI_X, target=1, controls=(3,), name="cnot"),
-        GatePlacement(PAULI_X, target=3, controls=(2,), name="cnot"),
+        GatePlacement(PAULI_X, target=4, controls=(2, 3)),
+        GatePlacement(PAULI_X, target=3, controls=(2,)),
+        GatePlacement(PAULI_X, target=4, controls=(1, 3)),
+        GatePlacement(PAULI_X, target=1, controls=(3,)),
+        GatePlacement(PAULI_X, target=3, controls=(2,)),
     )
 
 
@@ -209,15 +209,15 @@ _QFT_TOP_0 = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128) / np.sqrt(2
 _QFT_TOP_1 = np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-# bounded, so that a direct call with a huge n cannot pin its cores for good;
-# qft(1413), the largest within MAX_CORES, needs 8,475 entries in all three forms
+# bounded, so that qft_group_mpo (which checks no budget) at a huge n cannot pin
+# cores for good; qft(1413), within MAX_CORES, needs 8,475 entries in all 3 forms
 @functools.lru_cache(maxsize=1 << 14)
 def _qft_core(place: str, k: int, form: str) -> np.ndarray:
     """The one shared, sealed copy of a QFT group core at ``place``:
     ``"top"`` (the Hadamard split over the bond), ``"middle"`` or ``"last"``
     (phase ``k``) or ``"single"`` (the last group's Hadamard), in ``form``
-    ``""``, ``"conj"`` (every entry conjugated) or ``"adjoint"``
-    (:func:`adjoint_core` of it)."""
+    ``""`` (qft), ``"conj"`` (every entry conjugated; shor) or ``"adjoint"``
+    (:func:`adjoint_core` of it; inverse-qft), for :func:`_qft_group_cores`."""
     if form:
         core = _qft_core(place, k, "")
         return sealed(core.conj() if form == "conj" else adjoint_core(core))
@@ -230,17 +230,17 @@ def _qft_core(place: str, k: int, form: str) -> np.ndarray:
     return block_core([[IDENTITY], [phase_shift_k(k)]])
 
 
-def _qft_group(i: int, n: int, form: str) -> MPO:
-    """Gate group ``i`` of ``qft(n)`` in ``form`` (see :func:`_qft_core`),
-    assembled from the shared cores."""
+def _qft_group_cores(i: int, n: int, form: str) -> list[np.ndarray]:
+    """The shared cores of gate group ``i`` of ``qft(n)`` in ``form`` (see
+    :func:`_qft_core`), one per qubit ``i..n``; the caller embeds them."""
     if not 1 <= i <= n:
         raise ValueError(f"group index {i} outside [1, {n}]")
     if i == n:
-        return MPO.embed([_qft_core("single", 0, form)], n - 1, n)
+        return [_qft_core("single", 0, form)]
     cores = [_qft_core("top", 0, form)]
     cores += [_qft_core("middle", k, form) for k in range(2, n - i + 1)]
     cores.append(_qft_core("last", n - i + 1, form))
-    return MPO.embed(cores, i - 1, n)
+    return cores
 
 
 def qft_group_mpo(i: int, n: int) -> MPO:
@@ -248,12 +248,12 @@ def qft_group_mpo(i: int, n: int) -> MPO:
     controlled dyadic phases, merged into one chain of bond rank <= 2.
     The cores are shared with every other group: each depends only on its
     place in the group and its phase index."""
-    return _qft_group(i, n, "")
+    return MPO.embed(_qft_group_cores(i, n, ""), i - 1, n)
 
 
 def inverse_qft_group_mpo(i: int, n: int) -> MPO:
     """Adjoint of gate group ``i``: conjugated phases, Hadamard applied last."""
-    return _qft_group(i, n, "adjoint")
+    return MPO.embed(_qft_group_cores(i, n, "adjoint"), i - 1, n)
 
 
 def qft_sequence(n: int) -> "GateGroupSequence":
@@ -447,10 +447,6 @@ class PeriodExtraction:
     factors: tuple[int, int] | None
     failure: str | None = None
 
-    @property
-    def succeeded(self) -> bool:
-        return self.factors is not None
-
 
 def extract_period(y: int, denominator: int, a: int, modulus: int) -> PeriodExtraction:
     """Continued-fraction period candidate for ``y / denominator`` plus factors.
@@ -478,10 +474,8 @@ class ShorResult:
     """Distribution over the input register plus extraction per outcome."""
 
     a: int
-    modulus: int
     distribution: tuple[tuple[int, float], ...]
     extractions: tuple[PeriodExtraction, ...]
-    rank_history: tuple[tuple[int, ...], ...]
     final_ranks: tuple[int, ...]
 
     @property
@@ -493,7 +487,7 @@ class ShorResult:
         found = set()
         for row in self.extractions:
             if row.factors:
-                found.update(f for f in row.factors if 1 < f < self.modulus)
+                found.update(f for f in row.factors if 1 < f < SHOR_MODULUS)
         return tuple(sorted(found))
 
 
@@ -514,25 +508,27 @@ def shor_sequence(a: int) -> GateGroupSequence:
     # conjugated = inverse transform up to the qubit reversal read off later;
     # group i acts on input qubits i..n_input
     groups += [
-        MPO.embed(_qft_group(i, n_input, "conj").cores, i - 1, total)
+        MPO.embed(_qft_group_cores(i, n_input, "conj"), i - 1, total)
         for i in range(1, n_input + 1)
     ]
     return GateGroupSequence(groups=tuple(groups), label=f"shor({a})")
 
 
-def shor_readout(a: int, outcomes: Mapping[str, object]):
-    """Read measured input-register bitstrings of ``shor(a)`` as phase estimates.
+def shor_readout(a: int, report: born_sampler.SampleReport):
+    """Read a ``shor(a)`` report over the input register as phase estimates.
 
     The Fourier groups leave the input register in reversed bit order, so
     each bitstring read backwards is the phase estimate ``y``.  Returns the
-    outcomes keyed by the reversed bitstrings and one :func:`extract_period`
-    row per ``y``, in ascending order.
+    report with its counts and probabilities keyed by the reversed
+    bitstrings, and one :func:`extract_period` row per ``y`` in ascending
+    order: over the exact support when the report has one, over the drawn
+    outcomes otherwise.
     """
-    estimates = {key[::-1]: value for key, value in outcomes.items()}
-    rows = tuple(
-        extract_period(int(key, 2), 2 ** len(key), a, SHOR_MODULUS) for key in sorted(estimates)
-    )
-    return estimates, rows
+    counts = {key[::-1]: c for key, c in report.counts.items()}
+    probabilities = report.probabilities and {key[::-1]: p for key, p in report.probabilities.items()}
+    support = sorted(probabilities or counts)
+    rows = tuple(extract_period(int(y, 2), 2 ** len(y), a, SHOR_MODULUS) for y in support)
+    return replace(report, counts=counts, probabilities=probabilities), rows
 
 
 def shor_run(a: int) -> ShorResult:
@@ -540,14 +536,12 @@ def shor_run(a: int) -> ShorResult:
     probabilities, and post-process every possible outcome."""
     circuit = build_builtin("shor", a)
     run = run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
-    report = born_sampler.sample(run.state, born_sampler.MeasurementPlan(circuit.readout))
-    probabilities, extractions = shor_readout(a, report.probabilities)
+    plan = born_sampler.MeasurementPlan(circuit.readout)
+    report, extractions = shor_readout(a, born_sampler.sample(run.state, plan))
     return ShorResult(
         a=a,
-        modulus=SHOR_MODULUS,
-        distribution=tuple((int(key, 2), p) for key, p in sorted(probabilities.items())),
+        distribution=tuple((int(key, 2), p) for key, p in sorted(report.probabilities.items())),
         extractions=extractions,
-        rank_history=run.rank_history,
         final_ranks=run.state.ranks,
     )
 

@@ -45,7 +45,6 @@ class GatePlacement:
     matrix: np.ndarray
     target: int
     controls: tuple[int, ...] = field(default_factory=tuple)
-    name: str = ""
 
     def __post_init__(self) -> None:
         positions = (self.target, *self.controls)

@@ -73,6 +73,9 @@ def test_postselect_ghz_pins_everything():
     assert result.probability == pytest.approx(0.5, abs=1e-12)
     assert result.remaining == (2, 3)
     assert_allclose(result.state.to_dense(), oracle.basis_state([0, 0]), atol=1e-12)
+    result = bs.postselect(tc.named_state_mps("ghz", 3), {})
+    assert result.probability == 1.0
+    assert result.remaining == (1, 2, 3)
 
 
 def test_postselect_full_register_is_point_mass():

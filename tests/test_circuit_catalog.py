@@ -13,7 +13,7 @@ from numpy.testing import assert_allclose
 from mpoq import circuit_catalog as cat
 from mpoq import dense_oracle as oracle
 from mpoq import tensor_core as tc
-from mpoq.born_sampler import marginal_distribution
+from mpoq.born_sampler import SampleReport, marginal_distribution
 from mpoq.gate_library import (
     CONTROL_0,
     CONTROL_1,
@@ -114,7 +114,7 @@ def test_network_of_two_matches_dense_composition():
     placements = cat.full_adder_gate_placements()
     first = gate_product_mpo(placements, 7).to_dense()
     shifted = [
-        type(p)(p.matrix, target=p.target + 3, controls=tuple(c + 3 for c in p.controls), name=p.name)
+        type(p)(p.matrix, target=p.target + 3, controls=tuple(c + 3 for c in p.controls))
         for p in placements
     ]
     second = gate_product_mpo(shifted, 7).to_dense()
@@ -684,7 +684,6 @@ def test_extract_period_reference_rows_base_7(y, q, factors):
     row = cat.extract_period(y, 256, 7, 15)
     assert row.period == q
     assert row.factors == factors
-    assert row.succeeded == (factors is not None)
 
 
 def test_extract_period_failure_modes():
@@ -696,12 +695,33 @@ def test_extract_period_failure_modes():
 
 
 def test_shor_readout_reverses_keys_and_sorts_rows():
+    def report(counts, probabilities):
+        return SampleReport(12, sum(counts.values()), 5, cat.SHOR_INPUT, counts, probabilities,
+                            elapsed_seconds=0.25, clamped_mass=1e-13)
+
+    def rows(*ys):
+        return tuple(cat.extract_period(y, 256, 7, 15) for y in ys)
+
     # bitstrings arrive in the register's (reversed) order
-    estimates, rows = cat.shor_readout(7, {"00000010": 0.5, "00000000": 0.25, "10000000": 0.25})
-    assert estimates == {"01000000": 0.5, "00000000": 0.25, "00000001": 0.25}
-    assert [row.y for row in rows] == [0, 1, 64]
-    assert rows == tuple(cat.extract_period(y, 256, 7, 15) for y in (0, 1, 64))
-    assert cat.shor_readout(7, {}) == ({}, ())
+    counts = {"00000010": 3, "10000000": 1}
+    probabilities = {"00000010": 0.5, "00000000": 0.25, "10000000": 0.25}
+    reversed_counts = {"01000000": 3, "00000001": 1}
+    reversed_probabilities = {"01000000": 0.5, "00000000": 0.25, "00000001": 0.25}
+
+    read, got = cat.shor_readout(7, report(counts, None))
+    assert read == report(reversed_counts, None)
+    assert got == rows(1, 64)
+
+    read, got = cat.shor_readout(7, report({}, probabilities))
+    assert read == report({}, reversed_probabilities)
+    assert got == rows(0, 1, 64)
+
+    # with both tables, the rows follow the exact support
+    read, got = cat.shor_readout(7, report(counts, probabilities))
+    assert read == report(reversed_counts, reversed_probabilities)
+    assert got == rows(0, 1, 64)
+
+    assert cat.shor_readout(7, report({}, None)) == (report({}, None), ())
 
 
 def test_shor_run_supports_and_ranks():

@@ -1,6 +1,8 @@
 """End-to-end tests of the command-line interface."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
@@ -596,6 +598,99 @@ def test_summary_outcomes_do_not_depend_on_the_block_size(monkeypatch, capsys):
     assert len(printed[0]) == 9 and printed[0] == printed[1]
     ranked = [(-int(count), key) for key, count, *_ in map(str.split, printed[0][:8])]
     assert ranked == sorted(ranked)
+
+
+#: A GHZ chain with a long-range phase under a rank cap of 1: the run keeps
+#: half of the squared norm
+CAPPED = {
+    "n": 6,
+    "ops": [_gate("h", 1)] + [_gate("cnot", q + 1, controls=[q]) for q in range(1, 6)]
+    + [_gate("cphase", 5, controls=[2], k=2)],
+    "policy": {"max_rank": 1},
+}
+
+
+def test_truncation_loss_gets_a_summary_line(tmp_path, capsys):
+    path = tmp_path / "capped.json"
+    path.write_text(json.dumps(CAPPED))
+    line = "truncation left squared norm 0.5 (lost 5.000e-01); outcome probabilities are renormalized"
+    for options in ([], ["--measure", "2-6", "--postselect", "1=0"]):
+        code, out, _ = run_cli(["simulate", "--circuit", str(path), "--samples", "0", *options], capsys)
+        assert code == 0
+        assert line in out.splitlines()
+    for builtin in ("qfa-network(8)", "qft(6)", "shor(7)"):
+        code, out, _ = run_cli(["simulate", "--builtin", builtin], capsys)
+        assert code == 0
+        assert "truncation" not in out
+
+
+#: Values a mutated payload field takes: wrong types, non-finite numbers,
+#: integers that are no valid register size, a non-ASCII digit, empty
+#: containers and a long string
+ADVERSARIAL = (None, True, 3.0, -1, 0, 2 ** 64, 10 ** 6, NAN, INF, "\u0668", "", [], {}, "x" * 5000)
+
+
+def _json_paths(value, path=()):
+    """The path of ``value`` and of every key and index inside it."""
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, (*path, key))
+
+
+def _at(value, path):
+    for key in path:
+        value = value[key]
+    return value
+
+
+@st.composite
+def mutated_examples(draw):
+    """A ``docs/examples`` payload with one value replaced, one key dropped or
+    one unknown key added."""
+    name = draw(st.sampled_from(("adder.json", "custom.json", "simon.json")))
+    payload = json.loads((EXAMPLES / name).read_text())
+    paths = list(_json_paths(payload))
+    value = draw(st.sampled_from(ADVERSARIAL))
+    kind = draw(st.sampled_from(("replace", "drop", "add")))
+    if kind == "add":
+        path = draw(st.sampled_from([p for p in paths if isinstance(_at(payload, p), dict)]))
+        _at(payload, path)["unknown"] = value
+        return payload
+    if kind == "drop":
+        path = draw(st.sampled_from([p for p in paths if p and isinstance(_at(payload, p[:-1]), dict)]))
+        del _at(payload, path[:-1])[path[-1]]
+        return payload
+    path = draw(st.sampled_from(paths))
+    if not path:
+        return value
+    _at(payload, path[:-1])[path[-1]] = value
+    return payload
+
+
+def _position_lists(entry):
+    return st.lists(entry, min_size=1, max_size=4).map(",".join)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    payload=mutated_examples(),
+    samples=st.integers(0, 200),
+    measure=st.none() | st.just("all") | _position_lists(st.integers(0, 9).map(str)),
+    postselect=st.none() | _position_lists(st.tuples(st.integers(0, 9), st.integers(0, 1)).map("{0[0]}={0[1]}".format)),
+)
+def test_mutated_examples_end_in_a_documented_exit_code(tmp_path_factory, payload, samples, measure, postselect):
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(payload))
+    args = ["simulate", "--circuit", str(path), "--samples", str(samples)]
+    args += [] if measure is None else ["--measure", measure]
+    args += [] if postselect is None else ["--postselect", postselect]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(args)
+    assert code in (cli.EXIT_OK, cli.EXIT_SCHEMA, cli.EXIT_NUMERICAL, cli.EXIT_ZERO_POSTSELECT)
+    if code != cli.EXIT_OK:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
 
 
 def test_simulate_measure_and_postselect(tmp_path, capsys):

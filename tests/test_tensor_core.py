@@ -222,6 +222,7 @@ def test_apply_matches_dense_matvec():
     assert_allclose(
         op.apply(state).to_dense(), op.to_dense() @ state.to_dense(), atol=1e-10
     )
+    assert_allclose((op @ state).to_dense(), op.apply(state).to_dense(), atol=0)
 
 
 def test_apply_rank_product_law():
@@ -330,6 +331,8 @@ def test_mpo_add():
     total = tc.mpo_add(a, b)
     assert total.ranks[1:-1] == tuple(x + y for x, y in zip(a.ranks[1:-1], b.ranks[1:-1]))
     assert_allclose(total.to_dense(), a.to_dense() + b.to_dense(), atol=1e-12)
+    a, b = random_mpo(1, 1, seed=11), random_mpo(1, 1, seed=12)
+    assert_allclose(tc.mpo_add(a, b).to_dense(), a.to_dense() + b.to_dense(), atol=1e-12)
 
 
 # ---------------------------------------------------------------------------

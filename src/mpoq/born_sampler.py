@@ -82,16 +82,16 @@ class MeasurementPlan:
 
     ``measured`` lists 1-based positions in ascending order.  ``postselect``
     fixes bits on positions disjoint from ``measured`` before sampling.
-    ``exact_probabilities`` forces (True) or suppresses (False) the exact
-    marginal in the report; the default includes it when it is cheap or
-    when no samples are requested.
+    With ``exact_probabilities`` left at True the report carries the exact
+    marginal when no samples are requested, or when its ``2^m`` outcomes
+    are at most 4,096 and within the dense cap; False leaves it out.
     """
 
     measured: tuple[int, ...]
     sample_count: int = 0
     seed: int = 0
     postselect: Mapping[int, int] = field(default_factory=dict)
-    exact_probabilities: bool | None = None
+    exact_probabilities: bool = True
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "measured", tuple(self.measured))
@@ -131,11 +131,6 @@ class SampleReport:
     elapsed_seconds: float
     clamped_mass: float = 0.0
 
-    def frequencies(self) -> dict[str, float]:
-        if self.sample_count == 0:
-            return {k: 0.0 for k in self.counts}
-        return {k: v / self.sample_count for k, v in self.counts.items()}
-
     def csv_lines(self) -> Iterator[str]:
         """The CSV one line at a time, each ending in ``\\n``: a header, then
         one line per sorted outcome; floats are written with ``repr``."""
@@ -159,6 +154,7 @@ class SampleReport:
         return "".join(self.csv_lines())
 
     def to_json_dict(self) -> dict:
+        total = self.sample_count
         return {
             "format": "mpoq-sample-report",
             "n": self.n,
@@ -166,7 +162,7 @@ class SampleReport:
             "seed": self.seed,
             "measured": list(self.measured),
             "counts": dict(sorted(self.counts.items())),
-            "frequencies": dict(sorted(self.frequencies().items())),
+            "frequencies": {k: v / total if total else 0.0 for k, v in sorted(self.counts.items())},
             "probabilities": None
             if self.probabilities is None
             else dict(sorted(self.probabilities.items())),
@@ -443,11 +439,10 @@ def sample(state: MPS, plan: MeasurementPlan) -> SampleReport:
     working = _prepare(working)
     m = len(measured)
 
-    include_probs = plan.exact_probabilities
-    if include_probs is None:
-        include_probs = plan.sample_count == 0 or 2 ** m <= _AUTO_PROB_OUTCOMES
     probabilities = None
-    if include_probs:
+    if plan.exact_probabilities and (
+        plan.sample_count == 0 or 2 ** m <= min(_AUTO_PROB_OUTCOMES, dense_cap())
+    ):
         marginal = marginal_distribution(working, working_measured).reshape(-1)
         probabilities = {
             format(idx, f"0{m}b"): float(marginal[idx])

@@ -393,8 +393,8 @@ def shor_closed_form_mpo(a: int) -> MPO:
 
 
 def target_register_size(modulus: int) -> int:
-    n = modulus.bit_length()
-    return n if 2 ** n > modulus else n + 1
+    """Qubits that hold every residue below ``modulus``."""
+    return modulus.bit_length()
 
 
 def multiplicative_order(a: int, modulus: int) -> int:

@@ -84,21 +84,13 @@ def _invalid(path: str, what: str) -> CircuitSpecError:
 
 
 @contextlib.contextmanager
-def _reported():
-    """Report a ``ValueError`` from the library as bad input (exit 2)."""
+def _reported(path: str | None = None):
+    """Report a ``ValueError`` from the library as bad input (exit 2), as
+    invalid input at ``path`` when one is given."""
     try:
         yield
     except ValueError as exc:
-        raise CircuitSpecError(str(exc)) from exc
-
-
-@contextlib.contextmanager
-def _reported_at(path: str):
-    """Report a ``ValueError`` from the library as invalid input at ``path``."""
-    try:
-        yield
-    except ValueError as exc:
-        raise _invalid(path, str(exc)) from exc
+        raise (CircuitSpecError(str(exc)) if path is None else _invalid(path, str(exc))) from exc
 
 
 def _got(value) -> str:
@@ -163,11 +155,11 @@ def _initial_state(choice, n: int) -> MPS:
     if kind == "named":
         if not isinstance(value, str):
             raise _invalid(path, f"must be a string, got {_got(value)}")
-        with _reported_at(path):
+        with _reported(path):
             return named_state_mps(value, n)
     if kind == "hadamard_on":
         positions = _positions(value, path, n)
-        with _reported_at(path):
+        with _reported(path):
             return hadamard_layer(positions, n).apply(basis_state_mps([0] * n))
     raise _invalid(path, "unexpected field")
 
@@ -187,7 +179,7 @@ def _gate_placement(op, path: str, n: int) -> GatePlacement:
         matrix = matrix(_number(op["phi"], f"{path}.phi"))
     elif parameter == "k":
         matrix = matrix(_integer(op["k"], f"{path}.k", 1))
-    with _reported_at(path):
+    with _reported(path):
         return GatePlacement(matrix, target, controls)
 
 
@@ -207,7 +199,7 @@ def _builtin_groups(op, path: str, n: int) -> tuple[MPO, ...]:
             label = name if entry.arg is None else f"{name}({arg})"
             where = path if entry.arg is None else f"{path}.params.{entry.arg}"
             raise _invalid(where, f"builtin {label} acts on {qubits} qubits, not n={n}")
-    with _reported_at(f"{path}.params"):
+    with _reported(f"{path}.params"):
         return catalog.build_builtin(name, arg).sequence.groups
 
 
@@ -239,7 +231,7 @@ def load_circuit_payload(payload, label: str) -> catalog.Circuit:
             gate = _gate_placement(op, path, n)
             positions = (gate.target, *gate.controls)
             stored += max(positions) - min(positions) + 1
-        with _reported_at(path):
+        with _reported(path):
             catalog.check_core_budget(stored, "the circuit")
         groups += new if "builtin" in op else [gate.to_mpo(n)]
     sequence = catalog.GateGroupSequence(groups=tuple(groups), label=label)

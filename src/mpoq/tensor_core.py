@@ -300,8 +300,6 @@ class MPO:
         return MPS([apply_core(g, t) for g, t in zip(self.padded(), state.cores)])
 
     def __matmul__(self, other):
-        if isinstance(other, MPS):
-            return self.apply(other)
         if not isinstance(other, MPO):
             return NotImplemented
         if self.dims != other.dims:
@@ -447,24 +445,18 @@ def _mpo_as_mps(op: MPO) -> MPS:
     return MPS(cores)
 
 
-def _mps_as_mpo(state: MPS, dims) -> MPO:
-    cores = []
-    for c, d in zip(state.cores, dims):
-        r, _, s = c.shape
-        cores.append(np.asarray(c).reshape(r, d, d, s))
-    return MPO(cores)
-
-
 def compress_mpo(op: MPO, policy: TruncationPolicy = DEFAULT_POLICY) -> MPO:
     """Two-sided rounding of an MPO down to (numerically) minimal ranks.
 
-    A lossless right sweep orthonormalizes the chain, then a left sweep
-    applies the requested truncation against the orthonormal environment.
+    Two :func:`move_center` sweeps over the cores of the d²-site view: a
+    lossless one from the last site to the first orthonormalizes the chain,
+    then one from the first site to the last cuts every bond by ``policy``
+    against the orthonormal environment.
     """
-    via = _mpo_as_mps(op)
-    via = orthonormalize_right(via, LOSSLESS)
-    via = orthonormalize_left(via, policy)
-    return _mps_as_mpo(via, op.dims)
+    cores = list(_mpo_as_mps(op).cores)
+    move_center(cores, len(cores) - 1, 0)
+    move_center(cores, 0, len(cores) - 1, policy)
+    return MPO([c.reshape(c.shape[0], d, d, c.shape[2]) for c, d in zip(cores, op.dims)])
 
 
 # ---------------------------------------------------------------------------
@@ -519,7 +511,7 @@ def mpo_add(left: MPO, right: MPO) -> MPO:
 def diag_mpo(state: MPS) -> MPO:
     """Diagonal operator whose diagonal is the represented tensor.
 
-    Satisfies ``diag_mpo(T) @ T == T * T`` elementwise.
+    Satisfies ``diag_mpo(T).apply(T) == T * T`` elementwise.
     """
     cores = []
     for c in state.cores:

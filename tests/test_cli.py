@@ -232,6 +232,21 @@ def test_exact_output_above_dense_cap_exits_2(capsys):
     assert "--samples" in err and "--measure" in err
 
 
+def test_sampled_run_leaves_out_a_marginal_above_the_dense_cap(tmp_path, monkeypatch, capsys):
+    # qfa reads out 4 qubits: 16 outcomes, under 4,096 but over a cap of 8
+    monkeypatch.setenv("MPOQ_DENSE_CAP", "8")
+    out = tmp_path / "qfa.csv"
+    code, _, err = run_cli(["simulate", "--builtin", "qfa", "--samples", "10", "--out", str(out)], capsys)
+    assert code == 0, err
+    header, *rows = out.read_text().splitlines()
+    assert header == "bitstring,count,frequency"
+    assert sum(int(row.split(",")[1]) for row in rows) == 10
+    code, _, err = run_cli(["simulate", "--builtin", "qfa", "--samples", "0"], capsys)
+    assert code == cli.EXIT_SCHEMA
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "--samples" in err and "--measure" in err
+
+
 def test_nan_state_exits_3_with_one_line_and_no_warning(monkeypatch, capsys):
     circuit = catalog.build_builtin("qft", 3)
     cores = [core.copy() for core in circuit.initial.cores]

@@ -362,8 +362,16 @@ def _write_report(report: SampleReport, out: str | None, fmt: str, shor_rows) ->
         if shor_rows is not None:
             payload["period_extraction"] = [asdict(row) for row in shor_rows]
         texts = [json.dumps(payload, indent=2, sort_keys=True) + "\n"]
-    with open(out, "w", encoding="utf-8") as handle:
-        handle.writelines(texts)
+    _write(out, texts)
+
+
+def _write(out: str, texts) -> None:
+    """Write ``texts`` to the file ``out``; an ``OSError`` is bad input (exit 2)."""
+    try:
+        with open(out, "w", encoding="utf-8") as handle:
+            handle.writelines(texts)
+    except OSError as exc:
+        raise CircuitSpecError(f"cannot write {_got(out)}: {exc.strerror or exc}") from exc
 
 
 def _print_summary(circuit: catalog.Circuit, run, report: SampleReport, shor_rows) -> None:
@@ -433,8 +441,7 @@ def cmd_bench(args) -> int:
         )
     text = "\n".join(lines) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        _write(args.out, [text])
     print(text, end="")
     return EXIT_OK
 

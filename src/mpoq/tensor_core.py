@@ -25,9 +25,10 @@ other site.  Whoever builds a gate or gate group knows that window and
 lifts it with ``MPO.embed``, so a gate costs its window, not the register.
 ``apply_window`` works on the window alone; the operations that need the
 whole register (products, sums, dense reconstruction, rounding) take it
-from ``MPO.padded``, the one place that writes identity cores.  Dense
-reconstruction of an operator contracts its d²-site state view, so states
-and operators share one dense contraction.
+from ``MPO.padded``, the one place that writes identity cores.  Both
+containers read dims and ranks off that full list (a state's ``cores``)
+and share one dense contraction: an operator's cores, reshaped to order 3
+with each site's ``(row, col)`` as one index, are contracted as a state's.
 
 A chain copies every core it is given into a read-only array of its own,
 except a sealed one (:func:`sealed`): a complex128 array over an immutable
@@ -156,7 +157,45 @@ def _chain(cores, order: int) -> tuple[np.ndarray, ...]:
     return cores
 
 
-class MPS:
+def _dense(cores) -> np.ndarray:
+    """The vector of a list of state cores, guarded by :func:`dense_cap`."""
+    size = int(np.prod([c.shape[1] for c in cores], dtype=np.int64))
+    if size > dense_cap():
+        raise DenseCapExceeded(f"dense tensor of size {size} exceeds cap {dense_cap()}")
+    acc = cores[0].reshape(cores[0].shape[1], -1)
+    for core in cores[1:]:
+        acc = np.tensordot(acc, core, axes=([1], [0])).reshape(-1, core.shape[2])
+    return acc[:, 0]
+
+
+class _Chain:
+    """What a state and an operator share: cores from left bond to right bond."""
+
+    __slots__ = ("cores",)
+
+    def _sites(self) -> tuple[np.ndarray, ...]:  # one core per register site
+        return self.cores
+
+    @property
+    def dims(self) -> tuple[int, ...]:
+        return tuple(c.shape[1] for c in self._sites())
+
+    @property
+    def ranks(self) -> tuple[int, ...]:
+        return (1,) + tuple(c.shape[-1] for c in self._sites())
+
+    @property
+    def max_rank(self) -> int:
+        return max(self.ranks)
+
+    def _paired(self, other: "_Chain"):
+        """The site cores of both chains side by side; their dims must agree."""
+        if self.dims != other.dims:
+            raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
+        return zip(self._sites(), other._sites())
+
+
+class MPS(_Chain):
     """Matrix product state: a chain of order-3 complex cores.
 
     Core ``i`` has shape ``(r_{i-1}, d_i, r_i)`` with ``r_0 = r_n = 1``.
@@ -164,7 +203,7 @@ class MPS:
     has an orthonormal right unfolding; only the sweep routines set it.
     """
 
-    __slots__ = ("cores", "right_orthonormal")
+    __slots__ = ("right_orthonormal",)
 
     def __init__(self, cores, *, right_orthonormal: bool = False) -> None:
         self.cores = _chain(cores, 3)
@@ -173,18 +212,6 @@ class MPS:
     @property
     def n(self) -> int:
         return len(self.cores)
-
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(c.shape[1] for c in self.cores)
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(c.shape[2] for c in self.cores)
-
-    @property
-    def max_rank(self) -> int:
-        return max(self.ranks)
 
     def element(self, indices) -> complex:
         """Single tensor entry: the product of the selected core slices."""
@@ -199,14 +226,7 @@ class MPS:
 
     def to_dense(self) -> np.ndarray:
         """Full contraction into a vector of size ``prod(dims)`` (guarded)."""
-        size = int(np.prod(self.dims, dtype=np.int64))
-        if size > dense_cap():
-            raise DenseCapExceeded(f"dense tensor of size {size} exceeds cap {dense_cap()}")
-        acc = self.cores[0].reshape(self.dims[0], -1)
-        for core in self.cores[1:]:
-            acc = np.tensordot(acc, core, axes=([1], [0]))
-            acc = acc.reshape(-1, core.shape[2])
-        return acc[:, 0]
+        return _dense(self.cores)
 
     def norm(self) -> float:
         """Euclidean norm of the represented tensor."""
@@ -219,17 +239,13 @@ class MPS:
         nrm = self.norm()
         if nrm == 0.0:
             raise ZeroDivisionError("cannot normalize the zero tensor")
-        cores = list(self.cores)
-        cores[0] = cores[0] / nrm
-        return MPS(cores, right_orthonormal=self.right_orthonormal)
+        return MPS((self.cores[0] / nrm, *self.cores[1:]), right_orthonormal=self.right_orthonormal)
 
     def scaled(self, factor: complex) -> "MPS":
-        cores = list(self.cores)
-        cores[0] = cores[0] * factor
-        return MPS(cores)
+        return MPS((self.cores[0] * factor, *self.cores[1:]))
 
 
-class MPO:
+class MPO(_Chain):
     """Matrix product operator: a chain of order-4 complex cores.
 
     Core ``i`` has shape ``(R_{i-1}, d_i, d_i, R_i)`` with the output
@@ -242,7 +258,7 @@ class MPO:
     operations that need the whole register.
     """
 
-    __slots__ = ("cores", "span", "n")
+    __slots__ = ("span", "n")
 
     def __init__(self, cores) -> None:
         self.cores = _chain(cores, 4)
@@ -273,38 +289,25 @@ class MPO:
         eye = _freeze(np.eye(self.cores[0].shape[1])[None, :, :, None])
         return (eye,) * lo + self.cores + (eye,) * (self.n - 1 - hi)
 
-    @property
-    def dims(self) -> tuple[int, ...]:
-        return tuple(c.shape[1] for c in self.padded())
-
-    @property
-    def ranks(self) -> tuple[int, ...]:
-        return (1,) + tuple(c.shape[3] for c in self.padded())
-
-    @property
-    def max_rank(self) -> int:
-        return max(self.ranks)
+    _sites = padded
 
     def to_dense(self) -> np.ndarray:
         """Full contraction into a ``prod(dims) x prod(dims)`` matrix (guarded),
-        from the d²-site view's entry order ``(row_1, col_1, row_2, ...)``."""
+        from the reshaped cores' entry order ``(row_1, col_1, row_2, ...)``."""
         dims = [d for d in self.dims if d > 1]  # a site of dimension 1 adds no axis
         n, size = len(dims), int(np.prod(dims, dtype=np.int64))
-        flat = _mpo_as_mps(self).to_dense().reshape([x for d in dims for x in (d, d)])
+        flat = _dense([c.reshape(c.shape[0], -1, c.shape[3]) for c in self.padded()])
+        flat = flat.reshape([x for d in dims for x in (d, d)])
         return flat.transpose(*range(0, 2 * n, 2), *range(1, 2 * n, 2)).reshape(size, size)
 
     def apply(self, state: MPS) -> MPS:
         """Operator-state product; output ranks are the exact products."""
-        if self.dims != state.dims:
-            raise ValueError(f"dimension mismatch: {self.dims} vs {state.dims}")
-        return MPS([apply_core(g, t) for g, t in zip(self.padded(), state.cores)])
+        return MPS([apply_core(g, t) for g, t in self._paired(state)])
 
     def __matmul__(self, other):
         if not isinstance(other, MPO):
             return NotImplemented
-        if self.dims != other.dims:
-            raise ValueError(f"dimension mismatch: {self.dims} vs {other.dims}")
-        return MPO([apply_core(g, h) for g, h in zip(self.padded(), other.padded())])
+        return MPO([apply_core(g, h) for g, h in self._paired(other)])
 
 
 def adjoint_core(core: np.ndarray) -> np.ndarray:
@@ -404,10 +407,7 @@ def named_state_mps(name: str, n: int) -> MPS:
 def random_mps(n: int, max_rank: int, seed=None, d: int = 2) -> MPS:
     """Normalized random MPS with internal ranks ``min(max_rank, d^i, d^(n-i))``."""
     rng = np.random.default_rng(seed)
-    ranks = [1]
-    for i in range(1, n):
-        ranks.append(int(min(max_rank, d ** i, d ** (n - i))))
-    ranks.append(1)
+    ranks = [1] + [int(min(max_rank, d ** i, d ** (n - i))) for i in range(1, n)] + [1]
     cores = []
     for i in range(n):
         shape = (ranks[i], d, ranks[i + 1])
@@ -435,25 +435,16 @@ def orthonormalize_left(state: MPS, policy: TruncationPolicy = DEFAULT_POLICY) -
     return MPS(cores)
 
 
-def _mpo_as_mps(op: MPO) -> MPS:
-    """The d²-site state view of ``op``: site ``i`` carries ``(row, col)``
-    as one index ``row * d + col``."""
-    cores = []
-    for c in op.padded():
-        r, d, _, s = c.shape
-        cores.append(c.reshape(r, d * d, s))
-    return MPS(cores)
-
-
 def compress_mpo(op: MPO, policy: TruncationPolicy = DEFAULT_POLICY) -> MPO:
     """Two-sided rounding of an MPO down to (numerically) minimal ranks.
 
-    Two :func:`move_center` sweeps over the cores of the d²-site view: a
-    lossless one from the last site to the first orthonormalizes the chain,
-    then one from the first site to the last cuts every bond by ``policy``
-    against the orthonormal environment.
+    Two :func:`move_center` sweeps over the cores reshaped to order 3, each
+    site's ``(row, col)`` as one index ``row * d + col``: a lossless one from
+    the last site to the first orthonormalizes the chain, then one from the
+    first site to the last cuts every bond by ``policy`` against the
+    orthonormal environment.
     """
-    cores = list(_mpo_as_mps(op).cores)
+    cores = [c.reshape(c.shape[0], -1, c.shape[3]) for c in op.padded()]
     move_center(cores, len(cores) - 1, 0)
     move_center(cores, 0, len(cores) - 1, policy)
     return MPO([c.reshape(c.shape[0], d, d, c.shape[2]) for c, d in zip(cores, op.dims)])
@@ -477,7 +468,7 @@ def transform_bond(value, i: int, q: np.ndarray):
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("paired bond transform needs a square matrix")
     q_inv = np.linalg.inv(q)
-    cores = list(value.padded() if isinstance(value, MPO) else value.cores)
+    cores = list(value._sites())
     if i + 1 >= len(cores):
         raise IndexError("bond index out of range")
     cores[i] = cores[i] @ q
@@ -487,11 +478,9 @@ def transform_bond(value, i: int, q: np.ndarray):
 
 def mpo_add(left: MPO, right: MPO) -> MPO:
     """Sum of two operators via block-diagonal bond stacking (ranks add)."""
-    if left.dims != right.dims:
-        raise ValueError(f"dimension mismatch: {left.dims} vs {right.dims}")
     n = left.n
     cores = []
-    for i, (a, b) in enumerate(zip(left.padded(), right.padded())):
+    for i, (a, b) in enumerate(left._paired(right)):
         ra, d, _, sa = a.shape
         rb, _, _, sb = b.shape
         if n == 1:

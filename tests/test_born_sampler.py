@@ -91,6 +91,17 @@ def test_postselect_zero_probability_raises():
         bs.postselect(tc.basis_state_mps([1, 0]), {1: 0})
 
 
+def test_postselect_of_every_position_rejects_a_zero_outcome():
+    with pytest.raises(bs.ZeroProbabilityError, match="probability 0.000e"):
+        bs.postselect(tc.basis_state_mps([1, 0, 1]), {1: 1, 2: 1, 3: 1})
+
+
+def test_sampling_the_zero_state_raises():
+    zero = tc.named_state_mps("ghz", 3).scaled(0.0)
+    with pytest.raises(bs.ZeroProbabilityError, match="zero state"):
+        bs.sample(zero, bs.MeasurementPlan(measured=(1, 2), sample_count=10))
+
+
 def test_postselect_simon_preimages():
     # condition the pre-measurement oracle state on one observed f value;
     # the input register collapses to the matching pair of preimages
@@ -570,15 +581,15 @@ def test_report_csv_and_json_shape():
     assert "elapsed" not in json.dumps(payload)  # byte-stable serialization
 
 
-def add_rounding_noise(monkeypatch, state):
-    """Rounding noise on outcome 1 of qubit 2 of ``state``, the prepared
-    GHZ(2): after a first 0 its conditional is (1, -3e-13); after a first 1
-    it is (0, 1 - 3e-13) and nothing is clamped."""
+def add_rounding_noise(monkeypatch, state, noise=-3e-13):
+    """Rounding ``noise`` on outcome 1 of qubit 2 of ``state``, the prepared
+    GHZ(2): after a first 0 its conditional is (1, noise); after a first 1
+    it is (0, 1 + noise) and nothing is clamped."""
     transfer = bs._transfer
 
     def noisy_transfer(core, bit=None):
         noisy = bit == 1 and core is state.cores[1]
-        return transfer(core, bit) - 3e-13 if noisy else transfer(core, bit)
+        return transfer(core, bit) + noise if noisy else transfer(core, bit)
 
     monkeypatch.setattr(bs, "_transfer", noisy_transfer)
 
@@ -595,6 +606,31 @@ def test_clamped_mass_is_reported_outside_the_serialized_report(monkeypatch):
         "format", "n", "sample_count", "seed", "measured", "counts", "frequencies", "probabilities"
     }
     assert "clamped" not in report.to_csv_text() + report.to_json_text()
+
+
+def test_negative_conditional_below_tolerance_raises_and_exits_3(monkeypatch, tmp_path, capsys):
+    plan = bs.MeasurementPlan(measured=(1, 2), sample_count=1000)
+    with monkeypatch.context() as patch:
+        state = bs._prepare(tc.named_state_mps("ghz", 2))
+        add_rounding_noise(patch, state, noise=-1e-11)
+        with pytest.raises(bs.NegativeProbabilityError, match="below tolerance at site 2"):
+            bs.sample(state, plan)
+    # the same noise on the state the CLI prepares from a JSON Bell circuit
+    prepare = bs._prepare
+
+    def noisy_prepare(state):
+        prepared = prepare(state)
+        add_rounding_noise(monkeypatch, prepared, noise=-1e-11)
+        return prepared
+
+    monkeypatch.setattr(bs, "_prepare", noisy_prepare)
+    path = tmp_path / "bell.json"
+    path.write_text(json.dumps({"n": 2, "ops": [
+        {"gate": "h", "target": 1}, {"gate": "cnot", "target": 2, "controls": [1]}]}))
+    code = cli.main(["simulate", "--circuit", str(path), "--samples", "1000"])
+    err = capsys.readouterr().err
+    assert code == cli.EXIT_NUMERICAL
+    assert err.startswith("error: numerical failure: conditional entry") and err.count("\n") == 1
 
 
 def test_clamped_draw_matches_the_row_major_reference(monkeypatch):

@@ -900,6 +900,26 @@ def test_bench_single_point(tmp_path, capsys):
     assert float(fields[5]) > 0
 
 
+def test_simulate_to_an_unwritable_out_exits_2(tmp_path, capsys):
+    code, _, err = run_cli(
+        ["simulate", "--builtin", "qfa", "--samples", "10", "--out", str(tmp_path)], capsys
+    )
+    assert code == cli.EXIT_SCHEMA
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert "Is a directory" in err
+
+
+def test_bench_to_an_unwritable_out_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "x.csv"
+    code, _, err = run_cli(
+        ["bench", "qft", "--sizes", "4", "--repeats", "1", "--samples", "10", "--out", str(out_path)],
+        capsys,
+    )
+    assert code == cli.EXIT_SCHEMA
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+    assert "No such file or directory" in err
+
+
 def test_every_builtin_runs_through_simulate_and_bench(tmp_path, capsys):
     for name, entry in catalog.BUILTINS.items():
         text = name if entry.arg is None else f"{name}({entry.example})"

@@ -12,7 +12,14 @@ import pytest
 from numpy.testing import assert_allclose
 
 from mpoq import tensor_core as tc
-from mpoq.circuit_catalog import modular_exponentiation_mpo
+from mpoq.circuit_catalog import (
+    full_adder_mpo,
+    inverse_qft_group_mpo,
+    modular_exponentiation_mpo,
+    qft_group_mpo,
+    simon_circuit_mpo,
+    simon_gate_groups,
+)
 from mpoq.gate_library import CONTROL_1, IDENTITY, PAULI_X, controlled_mpo
 
 from conftest import is_right_orthonormal, kron_chain
@@ -164,6 +171,8 @@ def test_element_rejects_out_of_range():
     assert state.element((0, 1)) == pytest.approx(0.0)
     with pytest.raises(IndexError):
         state.element((0, 2))
+    with pytest.raises(ValueError, match="length"):
+        state.element((1,))
 
 
 def test_product_state_dense_is_kron():
@@ -334,6 +343,8 @@ def test_mpo_add():
     assert_allclose(total.to_dense(), a.to_dense() + b.to_dense(), atol=1e-12)
     a, b = random_mpo(1, 1, seed=11), random_mpo(1, 1, seed=12)
     assert_allclose(tc.mpo_add(a, b).to_dense(), a.to_dense() + b.to_dense(), atol=1e-12)
+    with pytest.raises(ValueError, match="dimension mismatch"):
+        tc.mpo_add(random_mpo(3, 2, seed=13), random_mpo(4, 2, seed=14))
 
 
 # ---------------------------------------------------------------------------
@@ -474,6 +485,47 @@ def test_compress_mpo_keeps_its_bytes():
     assert digest.hexdigest() == "fb9d3aa01168a84534251bf10ff7deacf07d21f35e29ddba4fb5da1dbe7b3a05"
 
 
+def _dense_pinned_operators():
+    """Operators of at most 8 sites: the catalog's closed forms and groups,
+    controlled-gate windows, and 40 seeded random windows (n 1..6, d 1..3,
+    bonds 1..3), each also as its product with itself and compressed."""
+    yield full_adder_mpo()
+    yield simon_circuit_mpo()
+    yield from simon_gate_groups()
+    for n in range(1, 7):
+        for i in range(1, n + 1):
+            yield qft_group_mpo(i, n)
+            yield inverse_qft_group_mpo(i, n)
+    for controls, target, n in (((1,), 2, 2), ((2,), 1, 3), ((1, 2), 3, 3), ((1,), 4, 5),
+                                ((3, 5), 2, 6), ((2, 6), 4, 8)):
+        yield controlled_mpo(controls, PAULI_X, target, n)
+    rng = np.random.default_rng(2311)
+    for _ in range(40):
+        n, d = int(rng.integers(1, 7)), int(rng.integers(1, 4))
+        lo = int(rng.integers(0, n))
+        hi = int(rng.integers(lo, n))
+        bonds = [1] + [int(b) for b in rng.integers(1, 4, hi - lo)] + [1]
+        op = tc.MPO.embed([_random_core(rng, bonds[i], d, d, bonds[i + 1])
+                           for i in range(hi - lo + 1)], lo, n)
+        yield op
+        yield op @ op
+        yield tc.compress_mpo(op @ op)
+
+
+def test_mpo_to_dense_keeps_its_bytes():
+    # sha256 over the shape and bytes of every dense matrix, recorded before
+    # MPO.to_dense contracted the reshaped cores without an MPS view
+    digest, count = hashlib.sha256(), 0
+    for op in _dense_pinned_operators():
+        dense = op.to_dense()
+        assert dense.dtype == np.complex128
+        digest.update(repr(dense.shape).encode())
+        digest.update(np.ascontiguousarray(dense).tobytes())
+        count += 1
+    assert count == 174
+    assert digest.hexdigest() == "63bf53e951f6021573fe46d79330b495ea0c5a8e708f034de6f75ab18752d5de"
+
+
 # ---------------------------------------------------------------------------
 # core transformations
 
@@ -495,6 +547,10 @@ def test_transform_bond_rejects_singular():
     state = tc.random_mps(4, 2, seed=20)
     with pytest.raises(np.linalg.LinAlgError):
         tc.transform_bond(state, 1, np.zeros((2, 2)))
+    with pytest.raises(ValueError, match="square"):
+        tc.transform_bond(state, 1, np.eye(2, 3))
+    with pytest.raises(IndexError, match="out of range"):
+        tc.transform_bond(state, 3, np.eye(1))
 
 
 def test_factored_cnot_core_manipulation():

@@ -34,14 +34,12 @@ from .circuit_catalog import (
     extract_period,
     full_adder_mpo,
     full_adder_network_mpo,
-    inverse_qft_group_mpo,
     modular_exponentiation_mpo,
-    qft_group_mpo,
     run_gate_sequence,
     shor_run,
     simon_circuit_mpo,
 )
-from .gate_library import controlled_mpo, hadamard_layer, single_qubit_mpo
+from .gate_library import controlled_mpo, hadamard_layer
 
 __all__ = [
     "DEFAULT_POLICY",
@@ -60,19 +58,16 @@ __all__ = [
     "full_adder_mpo",
     "full_adder_network_mpo",
     "hadamard_layer",
-    "inverse_qft_group_mpo",
     "marginal_distribution",
     "modular_exponentiation_mpo",
     "named_state_mps",
     "orthonormalize_left",
     "orthonormalize_right",
     "postselect",
-    "qft_group_mpo",
     "random_mps",
     "run_gate_sequence",
     "sample",
     "shor_run",
     "simon_circuit_mpo",
-    "single_qubit_mpo",
     "__version__",
 ]

@@ -209,8 +209,8 @@ _QFT_TOP_0 = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128) / np.sqrt(2
 _QFT_TOP_1 = np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
 
 
-# bounded, so that qft_group_mpo (which checks no budget) at a huge n cannot pin
-# cores for good; qft(1413), within MAX_CORES, needs 8,475 entries in all 3 forms
+# bounded as a guard only: every size shares its entries, and qft(1413), the
+# largest within MAX_CORES, needs 8,475 of them in all 3 forms
 @functools.lru_cache(maxsize=1 << 14)
 def _qft_core(place: str, k: int, form: str) -> np.ndarray:
     """The one shared, sealed copy of a QFT group core at ``place``:
@@ -233,8 +233,6 @@ def _qft_core(place: str, k: int, form: str) -> np.ndarray:
 def _qft_group_cores(i: int, n: int, form: str) -> list[np.ndarray]:
     """The shared cores of gate group ``i`` of ``qft(n)`` in ``form`` (see
     :func:`_qft_core`), one per qubit ``i..n``; the caller embeds them."""
-    if not 1 <= i <= n:
-        raise ValueError(f"group index {i} outside [1, {n}]")
     if i == n:
         return [_qft_core("single", 0, form)]
     cores = [_qft_core("top", 0, form)]
@@ -243,34 +241,31 @@ def _qft_group_cores(i: int, n: int, form: str) -> list[np.ndarray]:
     return cores
 
 
-def qft_group_mpo(i: int, n: int) -> MPO:
-    """Gate group ``i`` of the QFT: Hadamard on qubit ``i`` followed by its
-    controlled dyadic phases, merged into one chain of bond rank <= 2.
-    The cores are shared with every other group: each depends only on its
-    place in the group and its phase index."""
-    return MPO.embed(_qft_group_cores(i, n, ""), i - 1, n)
+def _fourier_groups(n: int, form: str, order: range, total: int | None = None) -> tuple[MPO, ...]:
+    """Gate groups ``i`` of ``qft(n)``, for ``i`` in ``order``, in ``form``
+    (see :func:`_qft_core`), group ``i`` on qubits ``i..n`` of a register of
+    ``total`` qubits (default ``n``).
 
-
-def inverse_qft_group_mpo(i: int, n: int) -> MPO:
-    """Adjoint of gate group ``i``: conjugated phases, Hadamard applied last."""
-    return MPO.embed(_qft_group_cores(i, n, "adjoint"), i - 1, n)
+    Group ``i`` is the Hadamard on qubit ``i`` followed by its controlled
+    dyadic phases, merged into one chain of bond rank <= 2.  Its cores are
+    shared with every other group: each depends only on its place in the
+    group and its phase index.
+    """
+    return tuple(MPO.embed(_qft_group_cores(i, n, form), i - 1, total or n) for i in order)
 
 
 def qft_sequence(n: int) -> "GateGroupSequence":
     """All QFT gate groups in application order (qubit order reversed on output)."""
     check_core_budget(n * (n + 1) // 2, f"qft({n})")
-    return GateGroupSequence(
-        groups=tuple(qft_group_mpo(i, n) for i in range(1, n + 1)),
-        label=f"qft({n})",
-    )
+    return GateGroupSequence(groups=_fourier_groups(n, "", range(1, n + 1)), label=f"qft({n})")
 
 
 def inverse_qft_sequence(n: int) -> "GateGroupSequence":
-    """Exact inverse of :func:`qft_sequence` (adjoint groups, reverse order)."""
+    """Exact inverse of :func:`qft_sequence`: adjoint groups (conjugated
+    phases, Hadamard applied last) in reverse order."""
     check_core_budget(n * (n + 1) // 2, f"inverse-qft({n})")
     return GateGroupSequence(
-        groups=tuple(inverse_qft_group_mpo(i, n) for i in range(n, 0, -1)),
-        label=f"inverse-qft({n})",
+        groups=_fourier_groups(n, "adjoint", range(n, 0, -1)), label=f"inverse-qft({n})"
     )
 
 
@@ -505,12 +500,8 @@ def shor_sequence(a: int) -> GateGroupSequence:
     n_input = len(SHOR_INPUT)
     total = n_input + target_register_size(SHOR_MODULUS)
     groups = [hadamard_layer(SHOR_INPUT, total), modular_exponentiation_mpo(a, SHOR_MODULUS)]
-    # conjugated = inverse transform up to the qubit reversal read off later;
-    # group i acts on input qubits i..n_input
-    groups += [
-        MPO.embed(_qft_group_cores(i, n_input, "conj"), i - 1, total)
-        for i in range(1, n_input + 1)
-    ]
+    # conjugated = inverse transform up to the qubit reversal read off later
+    groups += _fourier_groups(n_input, "conj", range(1, n_input + 1), total)
     return GateGroupSequence(groups=tuple(groups), label=f"shor({a})")
 
 

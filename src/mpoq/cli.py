@@ -334,6 +334,7 @@ def cmd_simulate(args) -> int:
             postselect=postselect,
         )
 
+    _check_writable(args.out)
     run = catalog.run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
     try:
         report = sample(run.state, plan)
@@ -365,13 +366,20 @@ def _write_report(report: SampleReport, out: str | None, fmt: str, shor_rows) ->
     _write(out, texts)
 
 
-def _write(out: str, texts) -> None:
+def _write(out: str, texts, mode: str = "w") -> None:
     """Write ``texts`` to the file ``out``; an ``OSError`` is bad input (exit 2)."""
     try:
-        with open(out, "w", encoding="utf-8") as handle:
+        with open(out, mode, encoding="utf-8") as handle:
             handle.writelines(texts)
     except OSError as exc:
         raise CircuitSpecError(f"cannot write {_got(out)}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(out: str | None) -> None:
+    """Fail before the run (exit 2) if ``out`` cannot be opened for writing;
+    a missing file is created empty, an existing one is left as it is."""
+    if out:
+        _write(out, [], "a")
 
 
 def _print_summary(circuit: catalog.Circuit, run, report: SampleReport, shor_rows) -> None:
@@ -412,6 +420,7 @@ def cmd_bench(args) -> int:
     if args.sizes is not None:
         sizes = [int(size) for (size,) in _entries(args.sizes, "size", _NUMBER)]
     lines = ["builtin,size,n_qubits,samples,repeats,mean_seconds,std_seconds,max_rank,rank_trajectory"]
+    _check_writable(args.out)
     for size in sizes:
         times = []
         with _reported():

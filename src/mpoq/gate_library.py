@@ -1,9 +1,10 @@
 """Canonical 2x2 gate matrices and their lifts to low-rank operators.
 
-Single-qubit gates lift to rank-1 operator chains; (multi-)controlled
-gates to rank-2 chains built from the projector pair ``CONTROL_0``,
-``CONTROL_1`` regardless of where the control and target qubits sit in
-the register.  Qubit positions are 1-based everywhere in this module.
+One lift, :func:`controlled_mpo`, takes a 2x2 gate under any number of
+controls: with none it is a rank-1 operator chain, with one or more a
+rank-2 chain built from the projector pair ``CONTROL_0``, ``CONTROL_1``
+regardless of where the control and target qubits sit in the register.
+Qubit positions are 1-based everywhere in this module.
 """
 
 from __future__ import annotations
@@ -52,9 +53,7 @@ class GatePlacement:
             raise ValueError(f"overlapping gate positions {positions}")
 
     def to_mpo(self, n: int) -> MPO:
-        if self.controls:
-            return controlled_mpo(self.controls, self.matrix, self.target, n)
-        return single_qubit_mpo(self.matrix, self.target, n)
+        return controlled_mpo(self.controls, self.matrix, self.target, n)
 
 
 def _check_positions(positions, n: int) -> None:
@@ -63,15 +62,6 @@ def _check_positions(positions, n: int) -> None:
             raise ValueError(f"qubit position {p} outside register [1, {n}]")
     if len(set(positions)) != len(positions):
         raise ValueError(f"overlapping qubit positions {tuple(positions)}")
-
-
-def single_qubit_mpo(matrix: np.ndarray, position: int, n: int) -> MPO:
-    """Rank-1 operator applying ``matrix`` at ``position``, identity elsewhere."""
-    _check_positions([position], n)
-    matrix = np.asarray(matrix, dtype=np.complex128)
-    if matrix.shape != (2, 2):
-        raise ValueError("single-qubit gate must be 2x2")
-    return MPO.embed([matrix[None, :, :, None]], position - 1, n)
 
 
 def _controlled_core(place: int, block: np.ndarray) -> np.ndarray:
@@ -89,20 +79,22 @@ _PASS_CORE = _controlled_core(1, IDENTITY)
 
 
 def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
-    """Rank-2 operator for a (multi-)controlled gate at arbitrary positions.
+    """Operator for the 2x2 gate ``matrix`` at ``target`` under ``controls``.
 
-    Realizes ``I + C x ... x C x (A - I)`` with projectors on the control
-    qubits; the bond rank is 2 exactly between the outermost involved
-    qubits and 1 elsewhere, for any ordering of controls and target.  Only
-    the target's core is built per gate; the others are shared.
+    With no controls it is the rank-1 window of ``matrix`` alone.
+    Otherwise it realizes ``I + C x ... x C x (A - I)`` with projectors on
+    the control qubits; the bond rank is 2 exactly between the outermost
+    involved qubits and 1 elsewhere, for any ordering of controls and
+    target.  Only the target's core is built per gate; the others are
+    shared.
     """
     controls = tuple(controls)
-    if not controls:
-        raise ValueError("controlled gate needs at least one control qubit")
     _check_positions([*controls, target], n)
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (2, 2):
         raise ValueError("target gate must be 2x2")
+    if not controls:
+        return MPO.embed([matrix[None, :, :, None]], target - 1, n)
     lo, hi = min(*controls, target), max(*controls, target)
     cores = []
     for q in range(lo, hi + 1):

@@ -94,7 +94,7 @@ def test_criterion_2_closed_form_equivalence():
             group = hadamard_layer([i], n)
             for k in range(2, n - i + 2):
                 group = controlled_mpo((i + k - 1,), phase_shift_k(k), i, n) @ group
-            delta = cat.qft_group_mpo(i, n).to_dense() - group.to_dense()
+            delta = cat.qft_sequence(n).groups[i - 1].to_dense() - group.to_dense()
             assert np.max(np.abs(delta)) <= 1e-12
 
 
@@ -107,9 +107,10 @@ def test_criterion_3_rank_certificates():
     assert tc.compress_mpo(cat.full_adder_mpo()).ranks == (1, 3, 4, 2, 1)
     assert tc.compress_mpo(cat.simon_circuit_mpo()).max_rank == 4
     for n in (4, 8):
-        for i in range(1, n):
-            assert tc.compress_mpo(cat.qft_group_mpo(i, n)).max_rank == 2
-        assert tc.compress_mpo(cat.qft_group_mpo(n, n)).max_rank == 1
+        *groups, last = cat.qft_sequence(n).groups
+        for group in groups:
+            assert tc.compress_mpo(group).max_rank == 2
+        assert tc.compress_mpo(last).max_rank == 1
     for a in SHOR_RANK_4_BASES:
         assert tc.compress_mpo(cat.modular_exponentiation_mpo(a)).max_rank == 4
     for a in SHOR_RANK_2_BASES:

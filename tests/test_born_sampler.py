@@ -89,6 +89,11 @@ def test_postselect_full_register_is_point_mass():
 def test_postselect_zero_probability_raises():
     with pytest.raises(bs.ZeroProbabilityError):
         bs.postselect(tc.basis_state_mps([1, 0]), {1: 0})
+    # an assignment that is not a postselection at all is bad input, not zero weight
+    with pytest.raises(ValueError, match="position 3 outside register"):
+        bs.postselect(tc.basis_state_mps([1, 0]), {3: 0})
+    with pytest.raises(ValueError, match="bit for position 1"):
+        bs.postselect(tc.basis_state_mps([1, 0]), {1: 2})
 
 
 def test_postselect_of_every_position_rejects_a_zero_outcome():
@@ -379,6 +384,8 @@ def test_plan_validation():
         bs.MeasurementPlan(measured=(1, 2), postselect={2: 0})
     with pytest.raises(ValueError):
         bs.MeasurementPlan(measured=(1,), sample_count=-1)
+    with pytest.raises(ValueError, match="bit for position 2"):
+        bs.MeasurementPlan(measured=(1,), postselect={2: 2})
     plan = bs.MeasurementPlan(measured=(1, 9))
     with pytest.raises(ValueError):
         bs.sample(tc.random_mps(4, 2, seed=0), plan)

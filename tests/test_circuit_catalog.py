@@ -240,24 +240,17 @@ def qft_group_gate_product(i, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 5])
 def test_qft_group_equals_gate_product(n):
     for i in range(1, n + 1):
-        closed = cat.qft_group_mpo(i, n)
+        closed = cat.qft_sequence(n).groups[i - 1]
         assert closed.max_rank == (1 if i == n else 2)
         assert_allclose(closed.to_dense(), qft_group_gate_product(i, n).to_dense(), atol=1e-12)
 
 
 def test_inverse_group_is_adjoint():
     for i in (1, 2, 4):
-        fwd = cat.qft_group_mpo(i, 4).to_dense()
-        inv = cat.inverse_qft_group_mpo(i, 4).to_dense()
+        fwd = cat.qft_sequence(4).groups[i - 1].to_dense()
+        inv = cat.inverse_qft_sequence(4).groups[4 - i].to_dense()
         assert_allclose(inv, fwd.conj().T, atol=1e-14)
         assert_allclose(inv @ fwd, np.eye(16), atol=1e-13)
-
-
-def test_qft_group_index_validation():
-    with pytest.raises(ValueError):
-        cat.qft_group_mpo(0, 3)
-    with pytest.raises(ValueError):
-        cat.qft_group_mpo(4, 3)
 
 
 def test_qft_pipeline_matches_reference_transform():
@@ -279,8 +272,8 @@ def test_qft_rank_one_preservation():
 def test_qft_rank_collapse_under_single_right_sweep():
     # one truncating right sweep is enough to find the rank-one form
     state = tc.basis_state_mps([1, 0, 1, 1, 0, 1])
-    for i in range(1, 7):
-        applied = cat.qft_group_mpo(i, 6).apply(state)
+    for group in cat.qft_sequence(6).groups:
+        applied = group.apply(state)
         assert applied.max_rank <= 2
         state = tc.orthonormalize_right(applied, tc.TruncationPolicy(rel_threshold=1e-12))
         assert state.max_rank == 1
@@ -301,9 +294,9 @@ def test_qft_groups_share_their_cores():
         for group in groups[1:]:
             assert all(c is f for c, f in zip(group.cores[:-1], groups[0].cores))
     # the last core of group i carries phase n - i + 1, whatever n is
-    assert cat.qft_group_mpo(1, 8).cores[-1] is cat.qft_group_mpo(2, 9).cores[-1]
-    assert cat.qft_group_mpo(8, 8).cores[0] is cat.qft_group_mpo(3, 3).cores[0]
-    forward, inverse = cat.qft_group_mpo(2, 8), cat.inverse_qft_group_mpo(2, 8)
+    assert cat.qft_sequence(8).groups[0].cores[-1] is cat.qft_sequence(9).groups[1].cores[-1]
+    assert cat.qft_sequence(8).groups[7].cores[0] is cat.qft_sequence(3).groups[2].cores[0]
+    forward, inverse = cat.qft_sequence(8).groups[1], cat.inverse_qft_sequence(8).groups[6]
     assert all(a is not b for a, b in zip(forward.cores, inverse.cores))
     for core in forward.cores + inverse.cores + cat.shor_sequence(7).groups[-2].cores:
         with pytest.raises(ValueError):  # sealed: no group can change a shared core

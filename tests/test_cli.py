@@ -180,10 +180,10 @@ def test_spaced_entries_read_as_their_plain_forms(spelled, plain, tmp_path, caps
 def test_qft_above_the_core_budget_is_rejected_before_any_group_is_built(
     tmp_path, monkeypatch, capsys
 ):
-    def qft_group_mpo(i, n):
+    def qft_group_cores(i, n, form):
         raise AssertionError(f"built group {i} of qft({n})")
 
-    monkeypatch.setattr(catalog, "qft_group_mpo", qft_group_mpo)
+    monkeypatch.setattr(catalog, "_qft_group_cores", qft_group_cores)
     # 1413 * 1414 / 2 = 998,991 cores fit the budget; 1414 * 1415 / 2 do not
     with pytest.raises(AssertionError, match="qft"):
         catalog.qft_sequence(1413)
@@ -303,6 +303,7 @@ MALFORMED = {
     "basis-digits": ({"n": 3, "ops": [], "initial": {"basis": "012"}}, "initial.basis"),
     "named-not-string": ({"n": 2, "ops": [], "initial": {"named": 5}}, "initial.named"),
     "named-not-exact": ({"n": 2, "ops": [], "initial": {"named": " GHZ"}}, "initial.named"),
+    "named-one-qubit": ({"n": 1, "initial": {"named": "ghz"}, "ops": []}, "initial.named"),
     "initial-string": ({"n": 2, "ops": [], "initial": "ones"}, "initial"),
     "initial-two-keys": (
         {"n": 2, "ops": [], "initial": {"basis": "00", "named": "ghz"}}, "initial"
@@ -920,6 +921,32 @@ def test_bench_to_an_unwritable_out_exits_2(tmp_path, capsys):
     assert "No such file or directory" in err
 
 
+@pytest.mark.parametrize("args", [
+    ["simulate", "--builtin", "qfa-network(100)", "--samples", "300000", "--seed", "3"],
+    ["bench", "qfa-network", "--sizes", "100", "--samples", "100000", "--repeats", "2"],
+], ids=["simulate", "bench"])
+def test_an_unwritable_out_fails_before_the_circuit_runs(args, tmp_path, monkeypatch, capsys):
+    def run_gate_sequence(*_):
+        raise AssertionError("the circuit ran before --out was checked")
+
+    monkeypatch.setattr(catalog, "run_gate_sequence", run_gate_sequence)
+    for out in (tmp_path, tmp_path / "missing" / "x.csv"):
+        code, out_text, err = run_cli([*args, "--out", str(out)], capsys)
+        assert code == cli.EXIT_SCHEMA and out_text == ""
+        assert err.startswith("error: cannot write ") and err.count("\n") == 1, err
+
+
+def test_a_run_that_fails_after_the_out_check_leaves_the_file_as_it_was(tmp_path, capsys):
+    kept, created = tmp_path / "kept.csv", tmp_path / "created.csv"
+    kept.write_text("earlier output\n")
+    for out in (kept, created):
+        args = ["simulate", "--builtin", "qfa", "--postselect", "1=1", "--measure", "2", "--out", str(out)]
+        code, _, _ = run_cli(args, capsys)
+        assert code == cli.EXIT_ZERO_POSTSELECT
+    assert kept.read_text() == "earlier output\n"
+    assert created.read_text() == ""
+
+
 def test_every_builtin_runs_through_simulate_and_bench(tmp_path, capsys):
     for name, entry in catalog.BUILTINS.items():
         text = name if entry.arg is None else f"{name}({entry.example})"
@@ -950,9 +977,7 @@ def test_verify_all_pass(capsys):
     assert "FAIL" not in out
 
 
-def test_verify_negative_control(monkeypatch, capsys):
-    qft_sequence = catalog.qft_sequence
-
+def _detuned(qft_sequence):
     def detuned(n):
         sequence = qft_sequence(n)
         cores = [np.array(c) for c in sequence.groups[0].cores]
@@ -960,10 +985,67 @@ def test_verify_negative_control(monkeypatch, capsys):
         groups = (MPO(cores),) + sequence.groups[1:]
         return catalog.GateGroupSequence(groups, label=sequence.label)
 
-    monkeypatch.setattr(catalog, "qft_sequence", detuned)
-    code, out, _ = run_cli(["verify", "--only", "qft"], capsys)
+    return detuned
+
+
+def _wrapped(owner, name, wrap):
+    """A corruption that replaces ``owner.name`` by ``wrap`` of the original."""
+    return lambda monkeypatch: monkeypatch.setattr(owner, name, wrap(getattr(owner, name)))
+
+
+def _set(owner, name, value):
+    return lambda monkeypatch: monkeypatch.setattr(owner, name, value)
+
+
+#: id -> (check, text its FAIL line must hold, corruption); one per FAIL branch.
+#: Bases 2 and 7 share their support and rank, so only the operator checks see a swap.
+NEGATIVE_CONTROLS = {
+    "qft": ("qft", "deviates from the reference", _wrapped(catalog, "qft_sequence", _detuned)),
+    "qfa-gates": (
+        "qfa", "five-gate product",
+        _wrapped(catalog, "full_adder_gate_placements", lambda f: lambda: f()[:-1]),
+    ),
+    "qfa-truth": (
+        "qfa", "truth table mismatch",
+        _wrapped(oracle, "full_adder_truth", lambda f: lambda *bits: f(*bits)[::-1]),
+    ),
+    "simon-support": (
+        "simon", "expected solution set", _set(catalog, "SIMON_SUPPORT", frozenset({"0000"})),
+    ),
+    "simon-uniform": (
+        "simon", "not uniform", _wrapped(cli, "marginal_distribution", lambda f: lambda *a: f(*a) * 1.5),
+    ),
+    "simon-string": ("simon", "hidden-string recovery", _set(catalog, "SIMON_HIDDEN_STRING", "0101")),
+    "shor-support": (
+        "shor", "a=2: support ()",
+        _wrapped(catalog, "shor_run", lambda f: lambda a: replace(f(a), distribution=())),
+    ),
+    "shor-rank": (
+        "shor", "a=2: final rank 1",
+        _wrapped(catalog, "shor_run", lambda f: lambda a: replace(f(a), final_ranks=(1,))),
+    ),
+    "shor-operator": (
+        "shor", "a=2: operator action wrong on input 1",
+        _wrapped(catalog, "modular_exponentiation_mpo", lambda f: lambda a, *m: f({2: 7}.get(a, a), *m)),
+    ),
+    "shor-closed-form": (
+        "shor", "a=2: closed form differs on input 1",
+        _wrapped(catalog, "shor_closed_form_mpo", lambda f: lambda a: f({2: 7}.get(a, a))),
+    ),
+    "shor-extraction": (
+        "shor", "a=7 extraction table",
+        _wrapped(catalog, "extract_period", lambda f: lambda *a: replace(f(*a), factors=None)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(NEGATIVE_CONTROLS))
+def test_verify_negative_control(name, monkeypatch, capsys):
+    check, detail, corrupt = NEGATIVE_CONTROLS[name]
+    corrupt(monkeypatch)
+    code, out, _ = run_cli(["verify", "--only", check], capsys)
     assert code == 1
-    assert "FAIL qft" in out
+    assert out.startswith(f"FAIL {check}: ") and out.count("\n") == 1 and detail in out, out
 
 
 def test_verify_vacuous_selection(capsys):

@@ -29,18 +29,18 @@ def test_gate_matrix_properties():
 
 
 def test_single_qubit_mpo_dense():
-    assert_allclose(gl.single_qubit_mpo(gl.HADAMARD, 1, 1).to_dense(), gl.HADAMARD)
+    assert_allclose(gl.controlled_mpo((), gl.HADAMARD, 1, 1).to_dense(), gl.HADAMARD)
     expected = kron_chain([np.eye(2), gl.HADAMARD, np.eye(2)])
-    mpo = gl.single_qubit_mpo(gl.HADAMARD, 2, 3)
+    mpo = gl.controlled_mpo((), gl.HADAMARD, 2, 3)
     assert mpo.max_rank == 1
     assert_allclose(mpo.to_dense(), expected, atol=1e-15)
     with pytest.raises(ValueError):
-        gl.single_qubit_mpo(gl.HADAMARD, 4, 3)
+        gl.controlled_mpo((), gl.HADAMARD, 4, 3)
 
 
 def test_phase_gates_commute():
-    a = gl.single_qubit_mpo(gl.phase_shift(0.4), 2, 3).to_dense()
-    b = gl.single_qubit_mpo(gl.phase_shift(1.1), 2, 3).to_dense()
+    a = gl.GatePlacement(gl.phase_shift(0.4), 2).to_mpo(3).to_dense()
+    b = gl.GatePlacement(gl.phase_shift(1.1), 2).to_mpo(3).to_dense()
     assert_allclose(a @ b, b @ a, atol=1e-14)
 
 
@@ -67,11 +67,16 @@ def test_controlled_mpo_arbitrary_positions(controls, target, n):
         assert mpo.ranks[bond] == expected_rank
 
 
-def test_controlled_mpo_rejects_overlap_and_missing_controls():
+def test_controlled_mpo_rejects_overlap_and_lifts_zero_controls():
     with pytest.raises(ValueError):
         gl.controlled_mpo((2,), gl.PAULI_X, 2, 3)
-    with pytest.raises(ValueError):
-        gl.controlled_mpo((), gl.PAULI_X, 1, 3)
+    for controls in ((), (1,)):
+        with pytest.raises(ValueError, match="2x2"):
+            gl.controlled_mpo(controls, np.eye(4), 2, 3)
+    # no controls: the rank-1 window of the matrix alone
+    single = gl.controlled_mpo((), gl.PAULI_X, 1, 3)
+    assert single.span == (0, 0) and single.max_rank == 1
+    assert_allclose(single.to_dense(), kron_chain([gl.PAULI_X, np.eye(2), np.eye(2)]), atol=1e-15)
 
 
 def test_cphase_control_target_symmetry():
@@ -106,8 +111,8 @@ def test_hadamard_layer_rejects_repeated_positions():
 
 def test_constructors_are_unitary():
     builders = [
-        gl.single_qubit_mpo(gl.HADAMARD, 3, 6),
-        gl.single_qubit_mpo(gl.phase_shift(0.9), 1, 6),
+        gl.controlled_mpo((), gl.HADAMARD, 3, 6),
+        gl.GatePlacement(gl.phase_shift(0.9), 1).to_mpo(6),
         gl.controlled_mpo((2,), gl.PAULI_X, 5, 6),
         gl.controlled_mpo((1, 4), gl.PAULI_X, 6, 6),
         gl.controlled_mpo((6,), gl.phase_shift_k(3), 2, 6),

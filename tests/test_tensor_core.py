@@ -14,9 +14,9 @@ from numpy.testing import assert_allclose
 from mpoq import tensor_core as tc
 from mpoq.circuit_catalog import (
     full_adder_mpo,
-    inverse_qft_group_mpo,
+    inverse_qft_sequence,
     modular_exponentiation_mpo,
-    qft_group_mpo,
+    qft_sequence,
     simon_circuit_mpo,
     simon_gate_groups,
 )
@@ -493,9 +493,10 @@ def _dense_pinned_operators():
     yield simon_circuit_mpo()
     yield from simon_gate_groups()
     for n in range(1, 7):
+        forward, inverse = qft_sequence(n).groups, inverse_qft_sequence(n).groups
         for i in range(1, n + 1):
-            yield qft_group_mpo(i, n)
-            yield inverse_qft_group_mpo(i, n)
+            yield forward[i - 1]
+            yield inverse[n - i]
     for controls, target, n in (((1,), 2, 2), ((2,), 1, 3), ((1, 2), 3, 3), ((1,), 4, 5),
                                 ((3, 5), 2, 6), ((2, 6), 4, 8)):
         yield controlled_mpo(controls, PAULI_X, target, n)

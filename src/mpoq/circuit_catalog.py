@@ -31,6 +31,7 @@ from .gate_library import (
     IDENTITY,
     PAULI_X,
     GatePlacement,
+    controlled_core,
     hadamard_layer,
     phase_shift_k,
 )
@@ -215,7 +216,8 @@ _QFT_TOP_1 = np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(
 def _qft_core(place: str, k: int, form: str) -> np.ndarray:
     """The one shared, sealed copy of a QFT group core at ``place``:
     ``"top"`` (the Hadamard split over the bond), ``"middle"`` or ``"last"``
-    (phase ``k``) or ``"single"`` (the last group's Hadamard), in ``form``
+    (the :func:`controlled_core` of phase ``k`` at that place) or
+    ``"single"`` (the last group's Hadamard), in ``form``
     ``""`` (qft), ``"conj"`` (every entry conjugated; shor) or ``"adjoint"``
     (:func:`adjoint_core` of it; inverse-qft), for :func:`_qft_group_cores`."""
     if form:
@@ -225,9 +227,7 @@ def _qft_core(place: str, k: int, form: str) -> np.ndarray:
         return block_core([[HADAMARD]])
     if place == "top":
         return block_core([[_QFT_TOP_0, _QFT_TOP_1]])
-    if place == "middle":
-        return block_core([[IDENTITY, None], [None, phase_shift_k(k)]])
-    return block_core([[IDENTITY], [phase_shift_k(k)]])
+    return controlled_core(1 if place == "middle" else 2, phase_shift_k(k))
 
 
 def _qft_group_cores(i: int, n: int, form: str) -> list[np.ndarray]:
@@ -325,15 +325,12 @@ def run_gate_sequence(
     if sequence.groups and sequence.n != initial.n:
         raise ValueError("group register size does not match the state")
     cores = list(orthonormalize_right(orthonormalize_left(initial, LOSSLESS), policy).cores)
-    center, last = 0, len(cores) - 1
+    center = 0
     ranks = [1] + [c.shape[2] for c in cores]
     history = []
     for group in sequence.groups:
-        lo, hi = group.span
-        # apply_window steps only between the old center and one site past its span
-        moved = range(max(min(center, lo - 1), 0), min(max(center, hi + 1), last) + 1)
-        center = apply_window(cores, center, group, policy)
-        for i in moved:
+        center, stepped = apply_window(cores, center, group, policy)
+        for i in stepped:
             ranks[i + 1] = cores[i].shape[2]
         history.append(tuple(ranks))
     move_center(cores, center, 0)

@@ -64,18 +64,19 @@ def _check_positions(positions, n: int) -> None:
         raise ValueError(f"overlapping qubit positions {tuple(positions)}")
 
 
-def _controlled_core(place: int, block: np.ndarray) -> np.ndarray:
+def controlled_core(place: int, block: np.ndarray) -> np.ndarray:
     """The core of a controlled gate on its first (``place`` 0), a middle (1)
     or its last (2) involved qubit: identity on the first bond channel and
-    ``block`` on the second."""
+    ``block`` on the second.  The QFT groups build their phase cores with
+    it too."""
     rows = ([[IDENTITY, block]], [[IDENTITY, None], [None, block]], [[IDENTITY], [block]])
     return block_core(rows[place])
 
 
 #: The cores every controlled gate shares, built once: a control by place,
 #: and the pass-through core of a qubit between the involved ones.
-_CONTROL_CORES = tuple(_controlled_core(place, CONTROL_1) for place in range(3))
-_PASS_CORE = _controlled_core(1, IDENTITY)
+_CONTROL_CORES = tuple(controlled_core(place, CONTROL_1) for place in range(3))
+_PASS_CORE = controlled_core(1, IDENTITY)
 
 
 def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
@@ -100,7 +101,7 @@ def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
     for q in range(lo, hi + 1):
         place = 0 if q == lo else 2 if q == hi else 1
         if q == target:
-            cores.append(_controlled_core(place, matrix - IDENTITY))
+            cores.append(controlled_core(place, matrix - IDENTITY))
         elif q in controls:
             cores.append(_CONTROL_CORES[place])
         else:

@@ -9,15 +9,16 @@ can be shared freely across threads.  The site steps at the end of the
 module (``move_center``, ``apply_window``) are the exception: they replace
 entries of a caller-owned list of state cores in place, so an executor can
 keep one chain in mixed-canonical form across many operators.
-``move_center`` is the one sweep loop and the one SVD site step:
-orthonormalization, compression and the re-rounding of an applied window
-all run through it.  At the small ranks of the catalog circuits the Python
-around each tiny matrix costs as much as the arithmetic, so a step is one
-reshape in, numpy's thin-SVD gufunc called directly (the call
-``np.linalg.svd(..., full_matrices=False)`` makes for complex input),
-slices only when the policy cuts, one reshape out and one product into
-the neighbour, all under one ``np.errstate`` per sweep, not one per SVD,
-that turns a failed or NaN SVD into ``numpy.linalg.LinAlgError``.
+``move_center`` is the one sweep loop, the one SVD site step and the one
+place where singular values are cut: orthonormalization, compression and
+the re-rounding of an applied window all run through it.  At the small
+ranks of the catalog circuits the Python around each tiny matrix costs as
+much as the arithmetic, so a step is one reshape in, numpy's thin-SVD
+gufunc called directly (the call ``np.linalg.svd(..., full_matrices=False)``
+makes for complex input), slices only when the policy cuts, one reshape
+out and one product into the neighbour, all under one ``np.errstate`` per
+sweep, not one per SVD, that turns a failed or NaN SVD into
+``numpy.linalg.LinAlgError``.
 
 An operator stores only the cores of the sites it acts on, its window
 ``MPO.span``, plus the register size ``MPO.n``; it is the identity on every
@@ -79,12 +80,13 @@ def dense_cap() -> int:
 
 @dataclass(frozen=True)
 class TruncationPolicy:
-    """Singular-value cut-off rule for orthonormalization sweeps.
+    """Singular-value cut-off rule for orthonormalization sweeps, applied
+    by :func:`move_center`.
 
-    Singular values below ``rel_threshold * sigma_max`` are discarded;
-    ``max_rank``, when set, caps the number of kept values.  The default
-    strips numerical noise only; ``rel_threshold=0`` with no cap is
-    lossless up to floating point.
+    Singular values at or below ``rel_threshold * sigma_max`` are
+    discarded, though at least one is kept; ``max_rank``, when set, caps the
+    number of kept values.  The default strips numerical noise only;
+    ``rel_threshold=0`` with no cap is lossless up to floating point.
     """
 
     rel_threshold: float = 1e-12
@@ -95,20 +97,6 @@ class TruncationPolicy:
             raise ValueError(f"rel_threshold must be >= 0, got {self.rel_threshold!r}")
         if self.max_rank is not None and (type(self.max_rank) is not int or self.max_rank < 1):
             raise ValueError(f"max_rank must be an integer >= 1 or None, got {self.max_rank!r}")
-
-    def keep_count(self, singular_values: np.ndarray) -> int:
-        """How many of ``singular_values``, largest first as LAPACK returns
-        them, the policy keeps (at least 1)."""
-        values = singular_values.tolist()  # Python floats: no ufunc per site step
-        smax = values[0] if values else 0.0
-        if smax <= 0.0:
-            keep = 1
-        else:
-            cut = self.rel_threshold * smax
-            keep = max(sum(1 for v in values if v > cut), 1)
-        if self.max_rank is not None:
-            keep = min(keep, self.max_rank)
-        return keep
 
 
 #: Policy used by the circuit executors: strips numerical noise only.
@@ -138,8 +126,8 @@ def _freeze(arr) -> np.ndarray:
 
 def _chain(cores, order: int) -> tuple[np.ndarray, ...]:
     """``cores`` frozen by :func:`_freeze` after the one chain check: order
-    ``order``, nonempty equal physical slots, boundary bonds 1 and matching
-    inner bonds."""
+    ``order``, nonempty equal physical slots, boundary bonds 1 and matching,
+    nonempty inner bonds."""
     cores = tuple(map(_freeze, cores))
     if not cores:
         raise ValueError("a chain needs at least one core")
@@ -154,6 +142,8 @@ def _chain(cores, order: int) -> tuple[np.ndarray, ...]:
     for i in range(1, len(cores)):
         if cores[i].shape[0] != cores[i - 1].shape[-1]:
             raise ValueError(f"bond mismatch between cores {i - 1} and {i}")
+        if cores[i].shape[0] < 1:
+            raise ValueError(f"empty bond between cores {i - 1} and {i}")
     return cores
 
 
@@ -530,10 +520,11 @@ def _svd_failed(err, flag):
 
 def move_center(cores: list, center: int, target: int, policy: TruncationPolicy = LOSSLESS) -> int:
     """Steps from ``center`` to ``target``, each bond on the way cut by
-    ``policy``; returns ``target``.  The one sweep loop and the one site
-    step of the module: each site it leaves becomes left- (stepping right)
-    or right-orthonormal (stepping left), and the singular values and the
-    other factor move into the next site.  Raises
+    ``policy``; returns ``target``.  The one sweep loop, site step and cut
+    of the module: each site it leaves becomes left- (stepping right) or
+    right-orthonormal (stepping left), and the kept singular values (those
+    above ``rel_threshold`` times the largest, at least one and at most
+    ``max_rank``) move with the other factor into the next site.  Raises
     ``numpy.linalg.LinAlgError`` if an SVD fails to converge or meets a
     NaN."""
     step = 1 if target > center else -1
@@ -544,8 +535,10 @@ def move_center(cores: list, center: int, target: int, policy: TruncationPolicy 
             # left, first index fastest
             u, sv, vh = _SVD(cores[i].reshape((r * d, s) if step > 0 else (r, d * s), order="F"),
                              signature="D->DdD")
-            keep = policy.keep_count(sv)
-            if keep < len(sv):
+            values = sv.tolist()  # Python floats: no ufunc per site step
+            cut = policy.rel_threshold * values[0]  # LAPACK returns the largest first
+            keep = min(sum(1 for v in values if v > cut) or 1, policy.max_rank or len(values))
+            if keep < len(values):
                 u, sv, vh = u[:, :keep], sv[:keep], vh[:keep]
             if step > 0:
                 cores[i] = u.reshape(r, d, keep, order="F")
@@ -556,7 +549,7 @@ def move_center(cores: list, center: int, target: int, policy: TruncationPolicy 
     return target
 
 
-def apply_window(cores: list, center: int, op: MPO, policy: TruncationPolicy) -> int:
+def apply_window(cores: list, center: int, op: MPO, policy: TruncationPolicy) -> tuple[int, range]:
     """Apply ``op`` to the mixed-canonical chain on its span only.
 
     The center moves into the span ``[lo, hi]`` of ``op``, the operator
@@ -565,11 +558,14 @@ def apply_window(cores: list, center: int, op: MPO, policy: TruncationPolicy) ->
     ``lo - 1``.  Every bond from ``lo - 1|lo`` to ``hi|hi + 1`` is cut by
     ``policy`` against orthonormal environments, so its rank is the
     numerical Schmidt rank; bonds outside keep their ranks.  Returns the new
-    center, ``max(lo - 1, 0)``.
+    center, ``max(lo - 1, 0)``, and the range of sites stepped over, the
+    smallest that holds the old center and ``max(lo - 1, 0)`` to
+    ``min(hi + 1, n - 1)``: only the bonds right of those sites can change.
     """
     lo, hi = op.span
     move_center(cores, center, min(max(center, lo), hi))
     for i in range(lo, hi + 1):
         cores[i] = apply_core(op.cores[i - lo], cores[i])
     right = move_center(cores, lo, min(hi + 1, len(cores) - 1))
-    return move_center(cores, right, max(lo - 1, 0), policy)
+    left = move_center(cores, right, max(lo - 1, 0), policy)
+    return left, range(min(center, left), max(center, right) + 1)

@@ -2,7 +2,9 @@
 
 import hashlib
 import itertools
+import json
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from mpoq import circuit_catalog as cat
+from mpoq import cli
 from mpoq import dense_oracle as oracle
 from mpoq import tensor_core as tc
 from mpoq.born_sampler import SampleReport, marginal_distribution
@@ -495,7 +498,7 @@ def test_groups_stay_inside_their_span(sequence, spans):
     for group, (lo, hi) in zip(sequence.groups, spans):
         center = tc.move_center(cores, center, lo)
         before = list(cores)
-        center = tc.apply_window(cores, center, group, tc.DEFAULT_POLICY)
+        center, _ = tc.apply_window(cores, center, group, tc.DEFAULT_POLICY)
         for i in [*range(lo - 1), *range(hi + 2, n)]:
             assert cores[i] is before[i], (group.span, i)
 
@@ -535,14 +538,78 @@ def test_rank_history_is_the_full_profile_after_every_group(monkeypatch, name, a
     apply_window = cat.apply_window
 
     def recording(cores, center, op, policy):
-        center = apply_window(cores, center, op, policy)
+        stepped = apply_window(cores, center, op, policy)
         profiles.append((1,) + tuple(c.shape[2] for c in cores))
-        return center
+        return stepped
 
     monkeypatch.setattr(cat, "apply_window", recording)
     run = cat.run_gate_sequence(sequence, initial, policy)
     assert len(profiles) == len(sequence.groups)
     assert run.rank_history == tuple(profiles)
+
+
+_EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
+
+#: The 2x2 gates of a JSON circuit with the control count each takes.
+_JSON_GATES = {"h": 0, "x": 0, "phase": 0, "rk": 0, "cnot": 1, "cphase": 1, "ccnot": 2}
+
+
+def _random_json_circuit(rng):
+    """A JSON circuit on 3..8 qubits that uses every gate at least once."""
+    n = int(rng.integers(3, 9))
+    names = list(_JSON_GATES) + list(rng.choice(list(_JSON_GATES), 9))
+    ops = []
+    for name in rng.permutation(names):
+        target, *controls = (int(q) + 1 for q in rng.permutation(n)[: 1 + _JSON_GATES[name]])
+        op = {"gate": str(name), "target": target, "controls": controls}
+        if name == "phase":
+            op["phi"] = float(rng.uniform(-4.0, 4.0))
+        elif name in ("rk", "cphase"):
+            op["k"] = int(rng.integers(1, 6))
+        ops.append(op)
+    initial = ["zeros", {"basis": "".join(map(str, rng.integers(0, 2, n)))},
+               {"hadamard_on": [1, n]}, {"named": "w"}][int(rng.integers(0, 4))]
+    return {"n": n, "initial": initial, "ops": ops}
+
+
+def _executor_runs():
+    """``(sequence, initial, policy)`` of every run the executor digest pins."""
+    rng = np.random.default_rng(2025)
+    for n in range(1, 10):
+        for sequence in (cat.qft_sequence(n), cat.inverse_qft_sequence(n)):
+            yield sequence, tc.basis_state_mps([int(b) for b in rng.integers(0, 2, n)]), tc.DEFAULT_POLICY
+    circuits = [cat.build_builtin("shor", a) for a in cat.SHOR_BASES]
+    circuits += [cat.build_builtin("qfa-network", count) for count in range(1, 5)]
+    for circuit in circuits:
+        yield circuit.sequence, circuit.initial, circuit.policy
+    yield cat.GateGroupSequence(cat.simon_gate_groups()), tc.basis_state_mps([0] * 8), tc.DEFAULT_POLICY
+    payloads = [json.loads((_EXAMPLES / name).read_text()) for name in ("adder.json", "custom.json", "simon.json")]
+    for n in (6, 20):
+        ops = [{"gate": "h", "target": 1}] + [{"gate": "cnot", "target": q + 1, "controls": [q]} for q in range(1, n)]
+        payloads.append({"n": n, "ops": ops})
+    policies = [{}, {"max_rank": 1}, {"max_rank": 2}, {"rel_threshold": 1e-3}]
+    for _ in range(20):
+        circuit = _random_json_circuit(rng)
+        payloads += [dict(circuit, policy=policy) for policy in policies]
+    for payload in payloads:
+        circuit = cli.load_circuit_payload(payload, "")
+        yield circuit.sequence, circuit.initial, circuit.policy
+
+
+def test_executor_outputs_keep_their_bytes():
+    # sha256 over the shape and bytes of every final core and over every
+    # rank history of run_gate_sequence, recorded before the SVD cut moved
+    # into move_center and apply_window returned the range it stepped over
+    digest, runs = hashlib.sha256(), 0
+    for sequence, initial, policy in _executor_runs():
+        run = cat.run_gate_sequence(sequence, initial, policy)
+        for core in run.state.cores:
+            digest.update(repr(core.shape).encode())
+            digest.update(np.ascontiguousarray(core).tobytes())
+        digest.update(repr(run.rank_history).encode())
+        runs += 1
+    assert runs == 18 + 7 + 4 + 1 + 5 + 80
+    assert digest.hexdigest() == "e5202de8f0c0c717094bab08f6648aaaeccf2902635e0a3c5ec8d8d01183a1e3"
 
 
 @pytest.mark.parametrize("name", list(cat.BUILTINS))

@@ -1,12 +1,13 @@
 """Measurement-outcome extraction from a state in chain format.
 
 Marginal distributions over a measured subset are contracted directly
-(the unmeasured legs of the squared-amplitude network are traced out);
+(``tensor_core.outcome_weights`` traces out the unmeasured legs);
 postselection slices the fixed bits out of the chain; and large sample
 batches are drawn qubit-wise from conditional distributions while the
 suffix of a right-orthonormal chain contributes only identity
-environments.  The qubit-wise cost is cubic in the bond rank, so the
-per-sample work is linear in the register size at bounded rank.
+environments.  The draw applies real ``(r², s²)`` maps, gaps fused in, to
+one r²-vector per sample: the work per sample and site and the stored maps
+grow as r²·s² (quartic at equal ranks), and linearly in the register size.
 
 Every left environment ``E`` is Hermitian, so the draw carries it as the
 real vector ``v = Re E + Im E``.  Samples are drawn in cache-sized
@@ -43,6 +44,7 @@ from .tensor_core import (
     DenseCapExceeded,
     dense_cap,
     orthonormalize_right,
+    outcome_weights,
 )
 
 #: Postselection outcomes below this probability are rejected as impossible.
@@ -239,29 +241,19 @@ def marginal_distribution(state: MPS, measured) -> np.ndarray:
     ``2^m`` exceeds the dense size cap.
     """
     measured = sorted(set(measured))
-    n = state.n
     if not measured:
         raise ValueError("need at least one measured position")
-    if measured[0] < 1 or measured[-1] > n:
-        raise ValueError(f"measured positions {measured} outside register [1, {n}]")
+    if measured[0] < 1 or measured[-1] > state.n:
+        raise ValueError(f"measured positions {measured} outside register [1, {state.n}]")
     if 2 ** len(measured) > dense_cap():
         raise DenseCapExceeded(
             f"exact marginal over {len(measured)} qubits exceeds the dense cap {dense_cap()}"
         )
-    keep = {p - 1 for p in measured}
-    acc = np.ones((1, 1, 1), dtype=np.complex128)  # (outcomes, k, K)
-    for i, core in enumerate(state.cores):
-        if i in keep:
-            acc = np.einsum("okK,kxl,KxL->oxlL", acc, core.conj(), core, optimize=True)
-            acc = acc.reshape(-1, acc.shape[2], acc.shape[3])
-        else:
-            acc = np.einsum("okK,kxl,KxL->olL", acc, core.conj(), core, optimize=True)
-    probs = acc[:, 0, 0].real
+    probs = outcome_weights(state.cores, {p - 1 for p in measured}).real
     total = probs.sum()
     if total <= 0.0:
         raise ZeroProbabilityError("state has zero norm")
-    probs = np.clip(probs / total, 0.0, None)
-    return probs.reshape((2,) * len(measured))
+    return np.clip(probs / total, 0.0, None).reshape((2,) * len(measured))
 
 
 def postselect(state: MPS, assignment: Mapping[int, int]) -> PostselectResult:
@@ -277,34 +269,29 @@ def postselect(state: MPS, assignment: Mapping[int, int]) -> PostselectResult:
             raise ValueError(f"postselect position {p} outside register [1, {n}]")
         if b not in (0, 1):
             raise ValueError(f"postselect bit for position {p} must be 0 or 1")
-    if not assignment:
-        return PostselectResult(state.normalized(), 1.0, tuple(range(1, n + 1)))
     state = state.normalized()
+    if not assignment:
+        return PostselectResult(state, 1.0, tuple(range(1, n + 1)))
     kept_cores: list[np.ndarray] = []
     remaining: list[int] = []
     pending = np.ones((1, 1), dtype=np.complex128)
-    for i, core in enumerate(state.cores):
-        pos = i + 1
+    for pos, core in enumerate(state.cores, 1):
         if pos in assignment:
             pending = pending @ core[:, assignment[pos], :]
         else:
             kept_cores.append(np.einsum("ab,bxc->axc", pending, core))
             pending = np.eye(core.shape[2], dtype=np.complex128)
             remaining.append(pos)
-    if not kept_cores:
-        amplitude = pending[0, 0]
-        probability = float(abs(amplitude) ** 2)
-        if probability <= EPS_ZERO:
-            raise ZeroProbabilityError(f"postselected outcome has probability {probability:.3e}")
-        return PostselectResult(None, probability, ())
-    if pending.shape != (1, 1) or pending[0, 0] != 1.0:
+    if kept_cores and (pending.shape != (1, 1) or pending[0, 0] != 1.0):
         kept_cores[-1] = np.einsum("axb,bc->axc", kept_cores[-1], pending)
-    conditioned = MPS(kept_cores)
-    norm = conditioned.norm()
+    conditioned = MPS(kept_cores) if kept_cores else None
+    # with every site fixed, the one amplitude left carries the weight
+    norm = abs(pending[0, 0]) if conditioned is None else conditioned.norm()
     probability = float(norm ** 2)
     if probability <= EPS_ZERO:
         raise ZeroProbabilityError(f"postselected outcome has probability {probability:.3e}")
-    return PostselectResult(conditioned.scaled(1.0 / norm), probability, tuple(remaining))
+    conditioned = None if conditioned is None else conditioned.scaled(1.0 / norm)
+    return PostselectResult(conditioned, probability, tuple(remaining))
 
 
 # ---------------------------------------------------------------------------
@@ -425,16 +412,14 @@ def sample(state: MPS, plan: MeasurementPlan) -> SampleReport:
         if not 1 <= p <= n:
             raise ValueError(f"measured position {p} outside register [1, {n}]")
 
-    measured = plan.measured
+    measured = working_measured = plan.measured
+    working = state
     if plan.postselect:
         conditioned = postselect(state, dict(plan.postselect))
         assert conditioned.state is not None  # measured positions remain
         position_map = {p: i + 1 for i, p in enumerate(conditioned.remaining)}
         working = conditioned.state
         working_measured = tuple(position_map[p] for p in measured)
-    else:
-        working = state
-        working_measured = measured
 
     working = _prepare(working)
     m = len(measured)

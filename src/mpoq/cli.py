@@ -7,8 +7,8 @@ either way the result is one ``circuit_catalog.Circuit``.
 Measurement output is written as CSV or JSON and is byte-stable for a fixed
 circuit, seed and package version.
 
-Exit codes: 0 success, 2 malformed circuit description or command line
-(including an exact output above the dense cap), 3 numerical failure,
+Exit codes: 0 success, 2 bad input (a malformed circuit or command line, an
+exact output above the dense cap, a run out of memory), 3 numerical failure,
 4 zero-probability postselection.  Every failure prints one ``error:`` line.
 """
 
@@ -335,13 +335,7 @@ def cmd_simulate(args) -> int:
         )
 
     _check_writable(args.out)
-    run = catalog.run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
-    try:
-        report = sample(run.state, plan)
-    except DenseCapExceeded as exc:
-        raise CircuitSpecError(
-            f"{exc}; draw samples with --samples N or measure fewer qubits with --measure"
-        ) from exc
+    run, report = _run(circuit, plan)
 
     shor_rows = None
     if circuit.shor_base is not None and measured == circuit.readout:
@@ -350,6 +344,23 @@ def cmd_simulate(args) -> int:
     _write_report(report, args.out, args.format, shor_rows)
     _print_summary(circuit, run, report, shor_rows)
     return EXIT_OK
+
+
+def _run(circuit: catalog.Circuit, plan: MeasurementPlan):
+    """Run ``circuit`` and sample its final state by ``plan``; an exact output
+    above the dense cap or running out of memory is bad input (exit 2)."""
+    stage = "executor"
+    try:
+        run = catalog.run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
+        stage = "sampler"
+        return run, sample(run.state, plan)
+    except DenseCapExceeded as exc:
+        raise CircuitSpecError(
+            f"{exc}; draw samples with --samples N or measure fewer qubits with --measure"
+        ) from exc
+    except MemoryError as exc:
+        raise CircuitSpecError(f"the {stage} ran out of memory: {str(exc) or 'MemoryError'}; "
+                               "bound the bond rank with policy.max_rank") from exc
 
 
 def _write_report(report: SampleReport, out: str | None, fmt: str, shor_rows) -> None:
@@ -425,27 +436,21 @@ def cmd_bench(args) -> int:
         times = []
         with _reported():
             circuit = catalog.build_builtin(args.builtin, size)
-        n = circuit.initial.n
         for repeat in range(args.repeats):
-            initial = circuit.initial
-            if args.builtin in ("qft", "inverse-qft"):
-                rng = np.random.default_rng((args.seed, n, repeat))
-                initial = basis_state_mps(rng.integers(0, 2, n))
             begin = time.perf_counter()
-            run = catalog.run_gate_sequence(circuit.sequence, initial, circuit.policy)
             plan = MeasurementPlan(
                 measured=circuit.readout,
                 sample_count=args.samples,
                 seed=args.seed + repeat,
                 exact_probabilities=False,
             )
-            sample(run.state, plan)
+            run, _ = _run(circuit, plan)
             times.append(time.perf_counter() - begin)
         trajectory = ";".join(str(max(r)) for r in run.rank_history)
         mean = statistics.fmean(times)
         std = statistics.stdev(times) if len(times) > 1 else 0.0
         lines.append(
-            f"{args.builtin},{'' if size is None else size},{n},{args.samples},{args.repeats},"
+            f"{args.builtin},{'' if size is None else size},{circuit.initial.n},{args.samples},{args.repeats},"
             f"{mean:.6f},{std:.6f},{run.max_rank_seen},{trajectory}"
         )
     text = "\n".join(lines) + "\n"

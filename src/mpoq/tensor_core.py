@@ -220,10 +220,7 @@ class MPS(_Chain):
 
     def norm(self) -> float:
         """Euclidean norm of the represented tensor."""
-        env = np.ones((1, 1), dtype=np.complex128)
-        for core in self.cores:
-            env = np.einsum("kl,kxm,lxn->mn", env, core.conj(), core, optimize=True)
-        return float(np.sqrt(abs(env[0, 0])))
+        return float(np.sqrt(abs(outcome_weights(self.cores, ())[0])))
 
     def normalized(self) -> "MPS":
         nrm = self.norm()
@@ -323,6 +320,18 @@ def apply_core(op_core: np.ndarray, core: np.ndarray) -> np.ndarray:
     out = out.transpose(0, 3, 1, *range(4, last), 2, last)
     s = out.shape
     return out.reshape(s[0] * s[1], *s[2:-2], s[-2] * s[-1])
+
+
+def outcome_weights(cores, kept) -> np.ndarray:
+    """Squared-amplitude weight of each outcome of the 0-based sites ``kept``
+    of a chain of state cores, every other site traced out: one complex
+    entry per outcome, the first kept site's index varying slowest."""
+    acc = np.ones((1, 1, 1), dtype=np.complex128)  # (outcomes, k, K), k conjugated
+    for i, core in enumerate(cores):
+        out = "oxlL" if i in kept else "olL"
+        acc = np.einsum(f"okK,kxl,KxL->{out}", acc, core.conj(), core, optimize=True)
+        acc = acc.reshape(-1, *acc.shape[-2:])
+    return acc[:, 0, 0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Unit tests for marginals, postselection and generative sampling."""
 
+import hashlib
 import json
 import time
 import tracemalloc
@@ -149,6 +150,50 @@ def test_postselect_marginal_mixture_identity():
                 continue
             mixed += res.probability * bs.marginal_distribution(res.state, [1, 2, 3])
     assert_allclose(mixed, target, atol=1e-11)
+
+
+def _exact_path_values():
+    """Every value the exact paths return on a fixed input set: norms of
+    seeded random states (n 1..9, rank 1..6); marginals over seeded readouts
+    with gaps and over the ``qfa-network(1..4)`` readouts; postselection
+    probabilities, positions and cores for seeded assignments on scaled
+    states, the empty and an all-fixed assignment among them."""
+    for n in range(1, 10):
+        for r in range(1, 7):
+            yield np.float64(tc.random_mps(n, r, seed=(n, r)).norm())
+    rng = np.random.default_rng(2611)
+    for k in range(40):
+        n = int(rng.integers(2, 10))
+        state = tc.random_mps(n, int(rng.integers(1, 7)), seed=k)
+        measured = sorted(rng.choice(np.arange(1, n + 1), size=rng.integers(1, n), replace=False))
+        yield bs.marginal_distribution(state.scaled(0.5 + 0.25j), [int(p) for p in measured])
+    for count in range(1, 5):
+        circuit = cat.build_builtin("qfa-network", count)
+        run = cat.run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
+        yield bs.marginal_distribution(run.state, circuit.readout)
+    for k in range(40):
+        n = int(rng.integers(1, 9))
+        state = tc.random_mps(n, int(rng.integers(1, 5)), seed=100 + k).scaled(1.5 - 0.5j)
+        # the empty and the all-fixed assignment twice each, then any size
+        size = (0, n)[k % 2] if k < 4 else int(rng.integers(0, n + 1))
+        fixed = rng.choice(np.arange(1, n + 1), size=size, replace=False)
+        result = bs.postselect(state, {int(p): int(rng.integers(0, 2)) for p in fixed})
+        yield np.float64(result.probability)
+        yield np.array(result.remaining, dtype=np.int64)
+        if result.state is not None:
+            yield from result.state.cores
+
+
+def test_exact_paths_keep_their_bytes():
+    # sha256 over the shape and bytes of every value, recorded before
+    # MPS.norm and marginal_distribution shared one contraction
+    digest, count = hashlib.sha256(), 0
+    for value in _exact_path_values():
+        digest.update(repr(value.shape).encode())
+        digest.update(np.ascontiguousarray(value).tobytes())
+        count += 1
+    assert count == 243
+    assert digest.hexdigest() == "6af3876462588b719bf3bf3e130da6b1d8acc177a59731d4ce3417d60a0941f7"
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from mpoq import born_sampler as bs
 from mpoq import circuit_catalog as catalog
 from mpoq import cli
 from mpoq import dense_oracle as oracle
+from mpoq import tensor_core as tc
 from mpoq.born_sampler import MeasurementPlan, ZeroProbabilityError, sample
 from mpoq.gate_library import HADAMARD, PAULI_X, GatePlacement, phase_shift, phase_shift_k
 from mpoq.tensor_core import MPO, MPS
@@ -257,6 +258,32 @@ def test_nan_state_exits_3_with_one_line_and_no_warning(monkeypatch, capsys):
         code, _, err = run_cli(["simulate", "--builtin", "qft(3)"], capsys)
     assert code == cli.EXIT_NUMERICAL
     assert err == "error: numerical failure: SVD did not converge\n"
+
+
+_NUMPY_OOM = ("Unable to allocate 13.1 GiB for an array with shape (128, 128, 232, 232) "
+              "and data type complex128")
+
+
+@pytest.mark.parametrize("owner, name, stage", [
+    (tc, "_SVD", "executor"),
+    (bs, "_transfer", "sampler"),
+])
+@pytest.mark.parametrize("command", [
+    ["simulate", "--builtin", "qfa-network(2)", "--samples", "10"],
+    ["bench", "qfa-network", "--sizes", "2", "--samples", "10", "--repeats", "1"],
+], ids=["simulate", "bench"])
+def test_running_out_of_memory_exits_2_with_one_line(owner, name, stage, command, monkeypatch,
+                                                      capsys):
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError(_NUMPY_OOM)
+
+    monkeypatch.setattr(owner, name, out_of_memory)
+    code, out, err = run_cli(command, capsys)
+    assert code == cli.EXIT_SCHEMA
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert f"the {stage} ran out of memory" in err
+    assert _NUMPY_OOM in err and "policy.max_rank" in err
+    assert "Traceback" not in out + err
 
 
 def test_schema_rejects_malformed_circuit(tmp_path, capsys):
@@ -968,6 +995,18 @@ def test_bench_qft_rows(capsys):
     )
     assert code == 0
     assert len(out.strip().splitlines()) == 3
+
+
+@pytest.mark.parametrize("args, rows", [
+    (["qft", "--sizes", "4,9"], ["qft,4,4,100,2,1,1;1;1;1", "qft,9,9,100,2,1,1;1;1;1;1;1;1;1;1"]),
+    (["inverse-qft", "--sizes", "5"], ["inverse-qft,5,5,100,2,1,1;1;1;1;1"]),
+], ids=["qft", "inverse-qft"])
+def test_bench_columns_besides_the_timings_are_pinned(args, rows, capsys):
+    # recorded while bench still ran the Fourier builtins from random basis states
+    code, out, _ = run_cli(["bench", *args, "--samples", "100", "--repeats", "2"], capsys)
+    assert code == 0
+    fields = [line.split(",") for line in out.splitlines()[1:]]
+    assert [",".join(f[:5] + f[7:]) for f in fields] == rows
 
 
 def test_verify_all_pass(capsys):

@@ -78,6 +78,13 @@ class NegativeProbabilityError(ArithmeticError):
     """Raised when conditionals are negative beyond floating-point noise."""
 
 
+def _check_bit(p: int, b) -> None:
+    """Raises ``ValueError`` unless the postselect bit ``b`` for position
+    ``p`` is the integer 0 or 1 (not a bool or a float)."""
+    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b not in (0, 1):
+        raise ValueError(f"postselect bit for position {p} must be 0 or 1")
+
+
 @dataclass(frozen=True)
 class MeasurementPlan:
     """Which qubits to read out, how many samples to draw, and how.
@@ -107,8 +114,7 @@ class MeasurementPlan:
         if overlap:
             raise ValueError(f"postselected positions {sorted(overlap)} are also measured")
         for p, b in self.postselect.items():
-            if b not in (0, 1):
-                raise ValueError(f"postselect bit for position {p} must be 0 or 1")
+            _check_bit(p, b)
 
 
 @dataclass
@@ -234,15 +240,17 @@ def _select(kept: np.ndarray, taken: np.ndarray, mask: np.ndarray) -> None:
 
 
 def marginal_distribution(state: MPS, measured) -> np.ndarray:
-    """Exact Born marginal over the 1-based positions ``measured``.
+    """Exact Born marginal over the strictly increasing 1-based positions ``measured``.
 
     Returns a nonnegative tensor of shape ``(2,) * m`` summing to one; the
     input is normalized internally.  Raises :class:`DenseCapExceeded` when
     ``2^m`` exceeds the dense size cap.
     """
-    measured = sorted(set(measured))
+    measured = list(measured)
     if not measured:
         raise ValueError("need at least one measured position")
+    if measured != sorted(set(measured)):
+        raise ValueError(f"measured positions {measured} must be strictly increasing")
     if measured[0] < 1 or measured[-1] > state.n:
         raise ValueError(f"measured positions {measured} outside register [1, {state.n}]")
     if 2 ** len(measured) > dense_cap():
@@ -267,8 +275,7 @@ def postselect(state: MPS, assignment: Mapping[int, int]) -> PostselectResult:
     for p, b in assignment.items():
         if not 1 <= p <= n:
             raise ValueError(f"postselect position {p} outside register [1, {n}]")
-        if b not in (0, 1):
-            raise ValueError(f"postselect bit for position {p} must be 0 or 1")
+        _check_bit(p, b)
     state = state.normalized()
     if not assignment:
         return PostselectResult(state, 1.0, tuple(range(1, n + 1)))

@@ -8,9 +8,9 @@ executor, the classical period-extraction step and the
 registry of named builtin circuits, each built as one runnable
 :class:`Circuit` record.
 
-No SWAP gates are used anywhere; where the omission matters (QFT output,
-factoring measurements) the bit order is reversed on readout, and that
-reversal is owned by this module.
+No SWAP gates are used anywhere, so a QFT leaves its output bits in
+reverse order; ``qft(n)`` still reports them in register order, and only
+``shor(a)`` reverses its readout, in :func:`shor_readout`.
 """
 
 from __future__ import annotations
@@ -206,8 +206,8 @@ def solve_hidden_string(support) -> list[str]:
 # ---------------------------------------------------------------------------
 # quantum Fourier transform gate groups
 
-_QFT_TOP_0 = np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128) / np.sqrt(2.0)
-_QFT_TOP_1 = np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
+_QFT_TOP_0 = sealed(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128) / np.sqrt(2.0))
+_QFT_TOP_1 = sealed(np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0))
 
 
 # bounded as a guard only: every size shares its entries, and qft(1413), the

@@ -360,7 +360,7 @@ def _run(circuit: catalog.Circuit, plan: MeasurementPlan):
         ) from exc
     except MemoryError as exc:
         raise CircuitSpecError(f"the {stage} ran out of memory: {str(exc) or 'MemoryError'}; "
-                               "bound the bond rank with policy.max_rank") from exc
+                               "bound the bond rank with policy.max_rank in a JSON circuit") from exc
 
 
 def _write_report(report: SampleReport, out: str | None, fmt: str, shor_rows) -> None:

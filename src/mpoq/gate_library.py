@@ -14,16 +14,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import MPO, block_core
+from .tensor_core import MPO, block_core, sealed
 
-IDENTITY = np.eye(2, dtype=np.complex128)
-PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128)
-HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)
-CONTROL_1 = np.array([[0.0, 0.0], [0.0, 1.0]], dtype=np.complex128)
-CONTROL_0 = IDENTITY - CONTROL_1
-
-for _m in (IDENTITY, PAULI_X, HADAMARD, CONTROL_0, CONTROL_1):
-    _m.flags.writeable = False
+IDENTITY = sealed(np.eye(2))
+PAULI_X = sealed([[0.0, 1.0], [1.0, 0.0]])
+HADAMARD = sealed(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0))
+CONTROL_1 = sealed([[0.0, 0.0], [0.0, 1.0]])
+CONTROL_0 = sealed(IDENTITY - CONTROL_1)
 
 
 def phase_shift(phi: float) -> np.ndarray:

@@ -4,11 +4,11 @@ States live in a chain of order-3 cores of shape ``(r_left, d, r_right)``,
 operators in a chain of order-4 cores of shape ``(R_left, d, d, R_right)``
 with the row (output) physical index first.  Boundary bond dimensions are
 always 1.  All values are immutable after construction: every operation
-returns a new object, and the stored arrays are marked read-only so they
-can be shared freely across threads.  The site steps at the end of the
-module (``move_center``, ``apply_window``) are the exception: they replace
-entries of a caller-owned list of state cores in place, so an executor can
-keep one chain in mixed-canonical form across many operators.
+returns a new object, and every stored array is sealed (see below).  The
+site steps at the end of the module (``move_center``, ``apply_window``)
+are the exception: they replace entries of a caller-owned list of state
+cores in place, so an executor can keep one chain in mixed-canonical form
+across many operators.
 ``move_center`` is the one sweep loop, the one SVD site step and the one
 place where singular values are cut: orthonormalization, compression and
 the re-rounding of an applied window all run through it.  At the small
@@ -31,12 +31,13 @@ containers read dims and ranks off that full list (a state's ``cores``)
 and share one dense contraction: an operator's cores, reshaped to order 3
 with each site's ``(row, col)`` as one index, are contracted as a state's.
 
-A chain copies every core it is given into a read-only array of its own,
-except a sealed one (:func:`sealed`): a complex128 array over an immutable
-``bytes`` buffer, which numpy refuses to make writable again.  A sealed
-core is shared as it is, so a chain does not copy what a builder sealed
-(every :func:`block_core` result), and one array can serve many
-operators.
+One rule keeps stored arrays from changing: every array the library
+keeps is sealed (:func:`sealed`), a C-ordered complex128 array over an
+immutable ``bytes`` buffer, which numpy refuses to make writable again.
+A chain seals every core it is given; a sealed core is shared as it is,
+anything else is copied once.  So a chain does not copy what a builder
+sealed (every :func:`block_core` result and the module constants the
+builders reuse), and one array can serve many operators.
 
 Bond indices use one fixed lumping convention throughout (first index
 varies fastest, i.e. Fortran-order reshapes), which keeps the SVD sweeps
@@ -108,27 +109,20 @@ LOSSLESS = TruncationPolicy(rel_threshold=0.0)
 
 def sealed(arr) -> np.ndarray:
     """``arr`` as a C-ordered complex128 array over an immutable ``bytes``
-    buffer: read-only for good, so a chain shares it without a copy."""
+    buffer, read-only for good: such an array as it is, anything else
+    copied.  The one way the library makes a kept array read-only."""
+    if type(arr) is np.ndarray and type(arr.base) is bytes and arr.dtype == np.complex128 \
+            and arr.flags.c_contiguous:
+        return arr
     arr = np.asarray(arr, dtype=np.complex128)
     return np.ndarray(arr.shape, np.complex128, arr.tobytes())
 
 
-def _freeze(arr) -> np.ndarray:
-    """``arr`` as a read-only complex128 ndarray: a C-ordered array over a
-    ``bytes`` buffer (:func:`sealed`) as it is, anything else copied."""
-    if type(arr) is np.ndarray and type(arr.base) is bytes and arr.dtype == np.complex128 \
-            and arr.flags.c_contiguous:
-        return arr
-    out = np.array(arr, dtype=np.complex128)
-    out.flags.writeable = False
-    return out
-
-
 def _chain(cores, order: int) -> tuple[np.ndarray, ...]:
-    """``cores`` frozen by :func:`_freeze` after the one chain check: order
+    """``cores`` sealed by :func:`sealed` after the one chain check: order
     ``order``, nonempty equal physical slots, boundary bonds 1 and matching,
     nonempty inner bonds."""
-    cores = tuple(map(_freeze, cores))
+    cores = tuple(map(sealed, cores))
     if not cores:
         raise ValueError("a chain needs at least one core")
     for i, core in enumerate(cores):
@@ -267,13 +261,12 @@ class MPO(_Chain):
 
     @classmethod
     def identity(cls, n: int, d: int = 2) -> "MPO":
-        eye = np.eye(d, dtype=np.complex128)[None, :, :, None]
-        return cls([eye] * n)
+        return cls([sealed(np.eye(d)[None, :, :, None])] * n)
 
     def padded(self) -> tuple[np.ndarray, ...]:
         """All ``n`` cores: the window with rank-1 identity cores around it."""
         lo, hi = self.span
-        eye = _freeze(np.eye(self.cores[0].shape[1])[None, :, :, None])
+        eye = sealed(np.eye(self.cores[0].shape[1])[None, :, :, None])
         return (eye,) * lo + self.cores + (eye,) * (self.n - 1 - hi)
 
     _sites = padded
@@ -339,10 +332,10 @@ def outcome_weights(cores, kept) -> np.ndarray:
 
 
 def block_core(rows) -> np.ndarray:
-    """The sealed core ``(len(rows), *block, len(rows[0]))`` whose bond
-    block ``(i, j)`` is ``rows[i][j]``: a ket for a state core, a square
-    matrix for an operator core, ``None`` for a zero block.  A chain takes it
-    as it is, without a copy."""
+    """The core ``(len(rows), *block, len(rows[0]))`` whose bond block
+    ``(i, j)`` is ``rows[i][j]``: a ket for a state core, a square matrix
+    for an operator core, ``None`` for a zero block.  It is returned sealed
+    (:func:`sealed`), so a chain shares it without a copy."""
     shape = next(np.shape(block) for row in rows for block in row if block is not None)
     core = np.zeros((len(rows), *shape, len(rows[0])), dtype=np.complex128)
     for i, row in enumerate(rows):
@@ -352,8 +345,8 @@ def block_core(rows) -> np.ndarray:
     return sealed(core)
 
 
-_KET0 = np.array([1.0, 0.0], dtype=np.complex128)
-_KET1 = np.array([0.0, 1.0], dtype=np.complex128)
+_KET0 = sealed([1.0, 0.0])
+_KET1 = sealed([0.0, 1.0])
 
 
 def basis_state_mps(bits) -> MPS:

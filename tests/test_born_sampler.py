@@ -65,6 +65,12 @@ def test_marginal_validation():
         bs.marginal_distribution(state, [4])
 
 
+@pytest.mark.parametrize("measured", [[3, 1, 1], [3, 1], [1, 1], [2, 2, 3]])
+def test_marginal_refuses_unsorted_or_repeated_positions(measured):
+    with pytest.raises(ValueError, match="strictly increasing"):
+        bs.marginal_distribution(tc.named_state_mps("ghz", 3), measured)
+
+
 # ---------------------------------------------------------------------------
 # postselection
 
@@ -418,6 +424,18 @@ def test_sample_count_zero_never_draws():
     assert report.counts == {}
     assert report.probabilities is not None
     assert sum(report.probabilities.values()) == pytest.approx(1.0, abs=1e-10)
+
+
+@pytest.mark.parametrize("bit", [1.0, 0.0, True, False, np.bool_(True)])
+def test_postselect_refuses_a_bit_that_is_not_an_integer(bit):
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        bs.postselect(tc.named_state_mps("ghz", 3), {2: bit})
+
+
+@pytest.mark.parametrize("bit", [1.0, 0.0, True, False, np.bool_(True)])
+def test_plan_refuses_a_postselect_bit_that_is_not_an_integer(bit):
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        bs.MeasurementPlan(measured=(1,), postselect={2: bit})
 
 
 def test_plan_validation():

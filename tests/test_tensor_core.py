@@ -13,14 +13,16 @@ from numpy.testing import assert_allclose
 
 from mpoq import tensor_core as tc
 from mpoq.circuit_catalog import (
+    build_builtin,
     full_adder_mpo,
     inverse_qft_sequence,
     modular_exponentiation_mpo,
     qft_sequence,
+    run_gate_sequence,
     simon_circuit_mpo,
     simon_gate_groups,
 )
-from mpoq.gate_library import CONTROL_1, IDENTITY, PAULI_X, controlled_mpo
+from mpoq.gate_library import CONTROL_0, CONTROL_1, HADAMARD, IDENTITY, PAULI_X, controlled_mpo
 
 from conftest import is_right_orthonormal, kron_chain
 
@@ -120,11 +122,25 @@ def test_chain_copies_every_core_but_a_sealed_one():
     with pytest.raises(ValueError):
         gate.cores[0].flags.writeable = True
     block = tc.block_core([[IDENTITY, IDENTITY]])
-    view = block[:, :, :, ::-1]  # a reversed view of a sealed core is copied
-    assert tc.MPO([view[:, :, :, :1]]).cores[0].base is None
+    view = block[:, :, :, ::-1][:, :, :, :1]  # a reversed view of a sealed core is copied
+    copy = tc.MPO([view]).cores[0]
+    assert copy is not view and type(copy.base) is bytes
     real = np.ones((1, 2, 1))
     real.flags.writeable = False
     assert tc.MPS([real]).cores[0].dtype == np.complex128
+
+
+def test_no_kept_array_can_be_made_writable():
+    state = tc.random_mps(4, 2, seed=1)
+    circuit = build_builtin("qfa-network", 2)
+    run = run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
+    plain = tc.MPO([np.ones((1, 2, 2, 2)), np.ones((2, 2, 2, 1))])
+    kept = [*state.cores, *state.normalized().cores, *state.scaled(2.0).cores, *run.state.cores,
+            *plain.cores, *tc.compress_mpo(plain).cores, *controlled_mpo((2,), PAULI_X, 4, 5).padded(),
+            IDENTITY, PAULI_X, HADAMARD, CONTROL_0, CONTROL_1]
+    for arr in kept:
+        with pytest.raises(ValueError):
+            arr.flags.writeable = True
 
 
 def test_ghz_dense():

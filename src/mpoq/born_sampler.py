@@ -25,7 +25,8 @@ are built for a whole block at once, and the CSV report is streamed line
 by line over the sorted keys.
 
 Qubit positions are 1-based; reported bitstrings list the measured
-positions in ascending order, most significant qubit first.
+positions in ascending order, most significant qubit first.  Positions and
+bits are checked by ``tensor_core.check_positions`` and ``check_bit``.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .tensor_core import (
     LOSSLESS,
     MPS,
     DenseCapExceeded,
+    check_bit,
+    check_positions,
     dense_cap,
     orthonormalize_right,
     outcome_weights,
@@ -78,13 +81,6 @@ class NegativeProbabilityError(ArithmeticError):
     """Raised when conditionals are negative beyond floating-point noise."""
 
 
-def _check_bit(p: int, b) -> None:
-    """Raises ``ValueError`` unless the postselect bit ``b`` for position
-    ``p`` is the integer 0 or 1 (not a bool or a float)."""
-    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b not in (0, 1):
-        raise ValueError(f"postselect bit for position {p} must be 0 or 1")
-
-
 @dataclass(frozen=True)
 class MeasurementPlan:
     """Which qubits to read out, how many samples to draw, and how.
@@ -114,7 +110,7 @@ class MeasurementPlan:
         if overlap:
             raise ValueError(f"postselected positions {sorted(overlap)} are also measured")
         for p, b in self.postselect.items():
-            _check_bit(p, b)
+            check_bit(b, f"postselect bit for position {p}")
 
 
 @dataclass
@@ -251,8 +247,7 @@ def marginal_distribution(state: MPS, measured) -> np.ndarray:
         raise ValueError("need at least one measured position")
     if measured != sorted(set(measured)):
         raise ValueError(f"measured positions {measured} must be strictly increasing")
-    if measured[0] < 1 or measured[-1] > state.n:
-        raise ValueError(f"measured positions {measured} outside register [1, {state.n}]")
+    check_positions(measured, state.n, "measured")
     if 2 ** len(measured) > dense_cap():
         raise DenseCapExceeded(
             f"exact marginal over {len(measured)} qubits exceeds the dense cap {dense_cap()}"
@@ -272,10 +267,9 @@ def postselect(state: MPS, assignment: Mapping[int, int]) -> PostselectResult:
     Raises :class:`ZeroProbabilityError` when the outcome has no weight.
     """
     n = state.n
+    check_positions(tuple(assignment), n, "postselect")
     for p, b in assignment.items():
-        if not 1 <= p <= n:
-            raise ValueError(f"postselect position {p} outside register [1, {n}]")
-        _check_bit(p, b)
+        check_bit(b, f"postselect bit for position {p}")
     state = state.normalized()
     if not assignment:
         return PostselectResult(state, 1.0, tuple(range(1, n + 1)))
@@ -415,9 +409,7 @@ def sample(state: MPS, plan: MeasurementPlan) -> SampleReport:
     """
     start = time.perf_counter()
     n = state.n
-    for p in plan.measured:
-        if not 1 <= p <= n:
-            raise ValueError(f"measured position {p} outside register [1, {n}]")
+    check_positions(plan.measured, n, "measured")
 
     measured = working_measured = plan.measured
     working = state

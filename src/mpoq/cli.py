@@ -179,8 +179,7 @@ def _gate_placement(op, path: str, n: int) -> GatePlacement:
         matrix = matrix(_number(op["phi"], f"{path}.phi"))
     elif parameter == "k":
         matrix = matrix(_integer(op["k"], f"{path}.k", 1))
-    with _reported(path):
-        return GatePlacement(matrix, target, controls)
+    return GatePlacement(matrix, target, controls)
 
 
 def _builtin_groups(op, path: str, n: int) -> tuple[MPO, ...]:
@@ -233,7 +232,7 @@ def load_circuit_payload(payload, label: str) -> catalog.Circuit:
             stored += max(positions) - min(positions) + 1
         with _reported(path):
             catalog.check_core_budget(stored, "the circuit")
-        groups += new if "builtin" in op else [gate.to_mpo(n)]
+            groups += new if "builtin" in op else [gate.to_mpo(n)]
     sequence = catalog.GateGroupSequence(groups=tuple(groups), label=label)
     return catalog.Circuit(sequence, initial, tuple(range(1, n + 1)), policy)
 

@@ -4,7 +4,7 @@ One lift, :func:`controlled_mpo`, takes a 2x2 gate under any number of
 controls: with none it is a rank-1 operator chain, with one or more a
 rank-2 chain built from the projector pair ``CONTROL_0``, ``CONTROL_1``
 regardless of where the control and target qubits sit in the register.
-Qubit positions are 1-based everywhere in this module.
+Qubit positions are 1-based, checked by ``tensor_core.check_positions``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import MPO, block_core, sealed
+from .tensor_core import MPO, block_core, check_positions, sealed
 
 IDENTITY = sealed(np.eye(2))
 PAULI_X = sealed([[0.0, 1.0], [1.0, 0.0]])
@@ -38,27 +38,14 @@ def phase_shift_k(k: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GatePlacement:
-    """A 2x2 gate placed on a register: target qubit plus optional controls."""
+    """A 2x2 gate on a register: target qubit plus optional controls, checked when lifted."""
 
     matrix: np.ndarray
     target: int
     controls: tuple[int, ...] = field(default_factory=tuple)
 
-    def __post_init__(self) -> None:
-        positions = (self.target, *self.controls)
-        if len(set(positions)) != len(positions):
-            raise ValueError(f"overlapping gate positions {positions}")
-
     def to_mpo(self, n: int) -> MPO:
         return controlled_mpo(self.controls, self.matrix, self.target, n)
-
-
-def _check_positions(positions, n: int) -> None:
-    for p in positions:
-        if not 1 <= p <= n:
-            raise ValueError(f"qubit position {p} outside register [1, {n}]")
-    if len(set(positions)) != len(positions):
-        raise ValueError(f"overlapping qubit positions {tuple(positions)}")
 
 
 def controlled_core(place: int, block: np.ndarray) -> np.ndarray:
@@ -87,7 +74,7 @@ def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
     shared.
     """
     controls = tuple(controls)
-    _check_positions([*controls, target], n)
+    check_positions([*controls, target], n, "qubit")
     matrix = np.asarray(matrix, dtype=np.complex128)
     if matrix.shape != (2, 2):
         raise ValueError("target gate must be 2x2")
@@ -109,7 +96,7 @@ def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
 def hadamard_layer(positions, n: int) -> MPO:
     """Rank-1 operator with Hadamards at ``positions``, identity elsewhere."""
     positions = tuple(positions)
-    _check_positions(positions, n)
+    check_positions(positions, n, "qubit")
     positions = set(positions)
     lo, hi = (min(positions), max(positions)) if positions else (1, 1)
     mats = [HADAMARD if q in positions else IDENTITY for q in range(lo, hi + 1)]

@@ -34,10 +34,12 @@ with each site's ``(row, col)`` as one index, are contracted as a state's.
 One rule keeps stored arrays from changing: every array the library
 keeps is sealed (:func:`sealed`), a C-ordered complex128 array over an
 immutable ``bytes`` buffer, which numpy refuses to make writable again.
-A chain seals every core it is given; a sealed core is shared as it is,
-anything else is copied once.  So a chain does not copy what a builder
-sealed (every :func:`block_core` result and the module constants the
-builders reuse), and one array can serve many operators.
+A chain seals every core it is given; a sealed core, or a C-ordered view
+of one, is shared as it is, anything else is copied once.  So a chain does
+not copy what a builder sealed (every :func:`block_core` result and the
+module constants the builders reuse, reshaped or not), and one array can
+serve many operators.  The library's two input rules live here too:
+:func:`check_bit` and :func:`check_positions`.
 
 Bond indices use one fixed lumping convention throughout (first index
 varies fastest, i.e. Fortran-order reshapes), which keeps the SVD sweeps
@@ -109,10 +111,11 @@ LOSSLESS = TruncationPolicy(rel_threshold=0.0)
 
 def sealed(arr) -> np.ndarray:
     """``arr`` as a C-ordered complex128 array over an immutable ``bytes``
-    buffer, read-only for good: such an array as it is, anything else
-    copied.  The one way the library makes a kept array read-only."""
-    if type(arr) is np.ndarray and type(arr.base) is bytes and arr.dtype == np.complex128 \
-            and arr.flags.c_contiguous:
+    buffer, read-only for good: such an array, or a C-ordered complex128
+    view of one (whose ``base`` is the sealed array), as it is, anything
+    else copied.  The one way the library makes a kept array read-only."""
+    if type(arr) is np.ndarray and arr.dtype == np.complex128 and arr.flags.c_contiguous \
+            and bytes in (type(arr.base), type(getattr(arr.base, "base", None))):
         return arr
     arr = np.asarray(arr, dtype=np.complex128)
     return np.ndarray(arr.shape, np.complex128, arr.tobytes())
@@ -349,14 +352,30 @@ _KET0 = sealed([1.0, 0.0])
 _KET1 = sealed([0.0, 1.0])
 
 
+def check_bit(b, what: str) -> None:
+    """The one bit rule: ``ValueError`` naming ``what`` unless ``b`` is the
+    integer 0 or 1 (an int or numpy integer, never a bool or a float)."""
+    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b not in (0, 1):
+        raise ValueError(f"{what} must be 0 or 1, got {clipped(repr(b))}")
+
+
+def check_positions(positions, n: int, what: str) -> None:
+    """The one position rule: ``ValueError`` naming ``what`` unless every
+    1-based qubit position lies in ``[1, n]`` and none is repeated."""
+    for p in positions:
+        if not 1 <= p <= n:
+            raise ValueError(f"{what} position {p} outside register [1, {n}]")
+    if len(set(positions)) != len(positions):
+        raise ValueError(f"overlapping {what} positions {tuple(positions)}")
+
+
 def basis_state_mps(bits) -> MPS:
     """Rank-one MPS for a computational basis state (first bit most significant)."""
     bits = list(bits)
     if not bits:
         raise ValueError("empty bit list")
     for b in bits:
-        if b not in (0, 1):
-            raise ValueError(f"bits must be 0 or 1, got {b!r}")
+        check_bit(b, "basis bit")
     kets = (block_core([[_KET0]]), block_core([[_KET1]]))
     return MPS([kets[b] for b in bits], right_orthonormal=True)
 

@@ -323,6 +323,7 @@ MALFORMED = {
     "control-zero": ({"n": 2, "ops": [_gate("cnot", 1, controls=[0])]}, "ops[0].controls[0]"),
     "controls-not-list": ({"n": 2, "ops": [_gate("cnot", 1, controls=2)]}, "ops[0].controls"),
     "cnot-two-controls": ({"n": 3, "ops": [_gate("cnot", 3, controls=[1, 2])]}, "ops[0].controls"),
+    "cnot-on-its-control": ({"n": 2, "ops": [_gate("cnot", 1, controls=[1])]}, "ops[0]"),
     "phi-string": ({"n": 1, "ops": [_gate("phase", 1, phi="x")]}, "ops[0].phi"),
     "k-zero": ({"n": 1, "ops": [_gate("rk", 1, k=0)]}, "ops[0].k"),
     "builtin-not-string": ({"n": 4, "ops": [{"builtin": 5}]}, "ops[0].builtin"),

@@ -126,8 +126,8 @@ def test_constructors_are_unitary():
 def test_placement_to_mpo():
     placement = gl.GatePlacement(gl.PAULI_X, target=3, controls=(1,))
     assert_allclose(placement.to_mpo(3).to_dense(), dense_controlled(3, (1,), 3, gl.PAULI_X), atol=1e-14)
-    with pytest.raises(ValueError):
-        gl.GatePlacement(gl.PAULI_X, target=1, controls=(1,))
+    with pytest.raises(ValueError, match="overlapping"):
+        gl.GatePlacement(gl.PAULI_X, target=1, controls=(1,)).to_mpo(3)
 
 
 def test_gate_lifts_store_their_window_only():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from mpoq import tensor_core as tc
+from mpoq import born_sampler as bs, tensor_core as tc
 from mpoq.circuit_catalog import (
     build_builtin,
     full_adder_mpo,
@@ -22,7 +22,15 @@ from mpoq.circuit_catalog import (
     simon_circuit_mpo,
     simon_gate_groups,
 )
-from mpoq.gate_library import CONTROL_0, CONTROL_1, HADAMARD, IDENTITY, PAULI_X, controlled_mpo
+from mpoq.gate_library import (
+    CONTROL_0,
+    CONTROL_1,
+    HADAMARD,
+    IDENTITY,
+    PAULI_X,
+    controlled_mpo,
+    hadamard_layer,
+)
 
 from conftest import is_right_orthonormal, kron_chain
 
@@ -56,6 +64,32 @@ def test_basis_state_rejects_empty_and_bad_bits():
         tc.basis_state_mps([])
     with pytest.raises(ValueError):
         tc.basis_state_mps([0, 2])
+
+
+@pytest.mark.parametrize("bit", [1.0, True, np.bool_(True), 2])
+def test_basis_state_takes_only_the_integers_0_and_1(bit):
+    with pytest.raises(ValueError, match="must be 0 or 1"):
+        tc.basis_state_mps([bit, 0])
+
+
+_GHZ3 = tc.named_state_mps("ghz", 3)
+
+#: every library entry point that takes 1-based positions -> (call with
+#: position 4 on a 3-qubit register, the name its message gives them)
+_POSITION_TAKERS = {
+    "sample": (lambda: bs.sample(_GHZ3, bs.MeasurementPlan(measured=(1, 4))), "measured"),
+    "postselect": (lambda: bs.postselect(_GHZ3, {4: 0}), "postselect"),
+    "marginal_distribution": (lambda: bs.marginal_distribution(_GHZ3, [2, 4]), "measured"),
+    "controlled_mpo": (lambda: controlled_mpo((4,), PAULI_X, 1, 3), "qubit"),
+    "hadamard_layer": (lambda: hadamard_layer((1, 4), 3), "qubit"),
+}
+
+
+@pytest.mark.parametrize("name", list(_POSITION_TAKERS))
+def test_every_position_taker_states_the_one_range_rule(name):
+    call, what = _POSITION_TAKERS[name]
+    with pytest.raises(ValueError, match=rf"^{what} position 4 outside register \[1, 3\]$"):
+        call()
 
 
 def _zeros(*shape):
@@ -128,6 +162,16 @@ def test_chain_copies_every_core_but_a_sealed_one():
     real = np.ones((1, 2, 1))
     real.flags.writeable = False
     assert tc.MPS([real]).cores[0].dtype == np.complex128
+
+
+def test_a_contiguous_view_of_a_sealed_array_is_shared():
+    view = IDENTITY[None, :, :, None]
+    assert tc.sealed(view) is view and tc.MPO([view]).cores[0] is view
+    with pytest.raises(ValueError):
+        view.flags.writeable = True
+    # the Hadamard layer and the zero-control lift share the gate constants
+    assert np.shares_memory(hadamard_layer((1, 3), 4).cores[0], HADAMARD)
+    assert np.shares_memory(controlled_mpo((), PAULI_X, 2, 3).cores[0], PAULI_X)
 
 
 def test_no_kept_array_can_be_made_writable():

@@ -17,12 +17,12 @@ environments of a block are stored sample-major, one column per sample, so
 every per-sample update is one real matrix product and every elementwise
 step runs along contiguous rows; the block's uniforms and bits are stored
 site-major, so each site reads and writes one contiguous row.  The
-uniform, bit and key buffers are allocated once per draw and reused by
-every block, and the uniforms are filled in cache-sized steps of rows.
-Each sample keeps the branch of its drawn bit through an exact select on
-the int64 views of the floats, with no branch per sample.  Outcome keys
-are built for a whole block at once, and the CSV report is streamed line
-by line over the sorted keys.
+uniform and bit buffers are allocated once per draw and reused by every
+block; the uniforms are filled, and the outcome keys made ``str``, in
+cache-sized steps of rows.  Each sample keeps the branch of its drawn bit
+through an exact select on the int64 views of the floats, with no branch
+per sample.  The keys are tallied in one ``Counter``, and the CSV report
+is streamed line by line over the sorted keys.
 
 Qubit positions are 1-based; reported bitstrings list the measured
 positions in ascending order, most significant qubit first.  Positions and
@@ -34,6 +34,7 @@ from __future__ import annotations
 import json
 import math
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Iterator, Mapping
 
@@ -68,8 +69,8 @@ _CHUNK = 1 << 16
 #: same numbers.
 _CHUNK_UNIFORMS = 1 << 19
 
-#: Uniforms drawn per call at most (128 KB of float64, cache-resident) while
-#: a block's site-major uniforms are filled; the same numbers again.
+#: Uniforms drawn (128 KB of float64, cache-resident), or key digits made
+#: ``str``, per call at most; the uniforms are the same numbers again.
 _STEP_UNIFORMS = 1 << 14
 
 
@@ -117,20 +118,20 @@ class MeasurementPlan:
 class SampleReport:
     """Outcome table of one sampling run.
 
-    ``counts`` maps measured bitstrings to occurrence counts (summing to
-    ``sample_count``); ``probabilities`` holds the exact marginal on its
-    support when the dense path was used.  ``clamped_mass`` is the largest
-    probability mass that one drawn conditional lost when its negative
-    rounding noise was set to zero.  The elapsed time and the clamped mass
-    are informational and deliberately kept out of the serialized forms,
-    which are byte-stable for a fixed plan and state.
+    ``counts`` is a ``Counter`` of measured bitstrings summing to
+    ``sample_count``, so an outcome not drawn reads 0; ``probabilities``
+    holds the exact marginal on its support when the dense path was used.
+    ``clamped_mass`` is the largest probability mass that one drawn
+    conditional lost when its negative rounding noise was set to zero.  The
+    elapsed time and the clamped mass are informational and deliberately
+    kept out of the serialized forms, byte-stable for a fixed plan and state.
     """
 
     n: int
     sample_count: int
     seed: int
     measured: tuple[int, ...]
-    counts: dict[str, int]
+    counts: Counter[str]
     probabilities: dict[str, float] | None
     elapsed_seconds: float
     clamped_mass: float = 0.0
@@ -312,7 +313,7 @@ def _prepare(state: MPS) -> MPS:
 
 
 def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
-    """Qubit-wise batched sampling; returns (counts per key, clamped mass).
+    """Qubit-wise batched sampling; returns (a ``Counter`` of keys, clamped mass).
 
     All per-sample work is expressed on flattened environments in real
     coordinates (:func:`_real_form`), one column per sample, so every update
@@ -320,12 +321,12 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
     transfer to the next measured site is fused into the per-bit update
     matrices.  Each sample keeps its chosen branch through :func:`_select`.
     Uniforms and bits are held site-major, ``(m, rows)``, so site ``k``
-    reads and writes row ``k``; their buffers and the key buffer are
-    allocated once, for the largest block, and every block reuses them.  A
-    block holds at most ``_CHUNK`` rows, ``_CHUNK_UNIFORMS`` uniforms and
-    ``_CHUNK_UNIFORMS`` floats per environment array (r² per row), and its
-    uniforms are drawn in steps of at most ``_STEP_UNIFORMS``: the stream is
-    row-major, so every split gives the same numbers.
+    reads and writes row ``k``; their buffers are allocated once, for the
+    largest block, and every block reuses them.  A block holds at most
+    ``_CHUNK`` rows, ``_CHUNK_UNIFORMS`` uniforms and ``_CHUNK_UNIFORMS``
+    floats per environment array (r² per row), and its uniforms are drawn,
+    and its keys made ``str``, in steps of at most ``_STEP_UNIFORMS``: the
+    stream is row-major, so every split gives the same numbers.
     """
     cores = state.cores
     m = len(measured_idx)
@@ -357,8 +358,7 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
     step = max(_STEP_UNIFORMS // m, 1)
     uniforms = np.empty((m, block))
     bits = np.empty((m, block), dtype=np.uint8)
-    keys_buf = np.empty((block, m), dtype=np.uint8)
-    counts: dict[str, int] = {}
+    tally: Counter[str] = Counter()
     mass_lost = 0.0
     remaining = sample_count
     while remaining > 0:
@@ -391,14 +391,12 @@ def _draw(state: MPS, measured_idx: list[int], sample_count: int, seed: int):
             _select(p[0], p[1], mask)
             p_chosen = p[0] / np.where(positive, total, 1.0)
             env /= np.where(p_chosen > 0, p_chosen, 1.0)
-        # one sample per row of ASCII digits: each row is one m-byte key; unique sorts them
-        keys = np.add(bits[:, :rows].T, 48, out=keys_buf[:rows])
-        keys, key_counts = np.unique(keys.view(f"S{m}")[:, 0], return_counts=True)
-        for key, c in zip(keys.tolist(), key_counts.tolist()):
-            key = key.decode()
-            counts[key] = counts.get(key, 0) + c
+        # one m-byte key of ASCII digits per sample; no block-sized str array is held
+        for a in range(0, rows, step):
+            keys = np.add(bits[:, a : min(a + step, rows)].T, 48, order="C").view(f"S{m}")[:, 0]
+            tally.update(keys.astype(f"U{m}").tolist())
         remaining -= rows
-    return counts, mass_lost
+    return tally, mass_lost
 
 
 def sample(state: MPS, plan: MeasurementPlan) -> SampleReport:
@@ -433,7 +431,7 @@ def sample(state: MPS, plan: MeasurementPlan) -> SampleReport:
             for idx in np.nonzero(marginal > 1e-15)[0]
         }
 
-    counts: dict[str, int] = {}
+    counts: Counter[str] = Counter()
     clamped_mass = 0.0
     if plan.sample_count > 0:
         measured_idx = [p - 1 for p in working_measured]

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import Counter
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable
@@ -512,7 +513,7 @@ def shor_readout(a: int, report: born_sampler.SampleReport):
     order: over the exact support when the report has one, over the drawn
     outcomes otherwise.
     """
-    counts = {key[::-1]: c for key, c in report.counts.items()}
+    counts = Counter({key[::-1]: c for key, c in report.counts.items()})
     probabilities = report.probabilities and {key[::-1]: p for key, p in report.probabilities.items()}
     support = sorted(probabilities or counts)
     rows = tuple(extract_period(int(y, 2), 2 ** len(y), a, SHOR_MODULUS) for y in support)

@@ -361,8 +361,11 @@ def check_bit(b, what: str) -> None:
 
 def check_positions(positions, n: int, what: str) -> None:
     """The one position rule: ``ValueError`` naming ``what`` unless every
-    1-based qubit position lies in ``[1, n]`` and none is repeated."""
+    1-based qubit position is an integer (an int or numpy integer, never a
+    bool or a float) in ``[1, n]`` and none is repeated."""
     for p in positions:
+        if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+            raise ValueError(f"{what} position {clipped(repr(p))} is not an integer")
         if not 1 <= p <= n:
             raise ValueError(f"{what} position {p} outside register [1, {n}]")
     if len(set(positions)) != len(positions):

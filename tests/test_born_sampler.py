@@ -4,6 +4,7 @@ import hashlib
 import json
 import time
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -559,10 +560,44 @@ def test_draw_matches_the_row_major_reference(seed):
                 row_major_draw(state, measured, count, draw_seed)
 
 
-def test_draw_matches_the_row_major_reference_across_a_chunk_tail():
+def test_draw_matches_the_row_major_reference_across_a_chunk_tail(monkeypatch):
     state = bs._prepare(tc.random_mps(4, 3, seed=17))
     count = bs._CHUNK + 1  # one full chunk and a one-row tail
     assert bs._draw(state, [0, 2, 3], count, 5) == row_major_draw(state, [0, 2, 3], count, 5)
+    # 17 blocks of 64 rows and a one-row tail: later blocks draw the same two keys again
+    monkeypatch.setattr(bs, "_CHUNK", 64)
+    state = bs._prepare(tc.named_state_mps("ghz", 5))
+    count = 17 * 64 + 1
+    counts, clamped = bs._draw(state, [0, 1, 2, 3, 4], count, 5)
+    assert (counts, clamped) == row_major_draw(state, [0, 1, 2, 3, 4], count, 5)
+    assert counts.keys() == {"00000", "11111"} and 64 < counts["00000"] < count - 64
+
+
+def test_counts_is_a_counter_in_which_an_outcome_not_drawn_reads_0(monkeypatch):
+    ghz = tc.named_state_mps("ghz", 3)
+    drawn = bs.sample(ghz, bs.MeasurementPlan(measured=(1, 2, 3), sample_count=100, seed=1))
+    exact = bs.sample(ghz, bs.MeasurementPlan(measured=(1, 2, 3)))
+    # the report shor_run reads out, and a sampled shor(7) report read out the same way
+    shor_readout, read_out = cat.shor_readout, []
+
+    def recorded_readout(a, report):
+        read_out.append(shor_readout(a, report))
+        return read_out[-1]
+
+    monkeypatch.setattr(cat, "shor_readout", recorded_readout)
+    cat.shor_run(7)
+    shor_exact = read_out[0][0]
+    circuit = cat.build_builtin("shor", 7)
+    state = cat.run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy).state
+    plan = bs.MeasurementPlan(circuit.readout, sample_count=64, seed=1)
+    shor_sampled = shor_readout(7, bs.sample(state, plan))[0]
+
+    assert drawn.counts.keys() == {"000", "111"} and exact.counts == {} == shor_exact.counts
+    assert shor_sampled.counts.keys() <= {"00000000", "01000000", "10000000", "11000000"}
+    assert shor_sampled.counts.total() == 64
+    for report in (drawn, exact, shor_exact, shor_sampled):
+        assert isinstance(report.counts, Counter)
+        assert report.counts["0" * (len(report.measured) - 1) + "1"] == 0
 
 
 @pytest.fixture(scope="module")

@@ -92,6 +92,43 @@ def test_every_position_taker_states_the_one_range_rule(name):
         call()
 
 
+#: a position that is not an integer -> (call on a 3-qubit register, the
+#: message it must give); the range check alone took these as positions
+_NON_INTEGER_POSITIONS = {
+    "controlled_mpo-float-target": (
+        lambda: controlled_mpo((), PAULI_X, 2.0, 3), "qubit position 2.0 is not an integer"
+    ),
+    "hadamard_layer-float": (lambda: hadamard_layer((1.5,), 3), "qubit position 1.5 is not an integer"),
+    "hadamard_layer-numpy-bool": (
+        lambda: hadamard_layer((np.bool_(True),), 3), "qubit position np.True_ is not an integer"
+    ),
+    "marginal_distribution-bool": (
+        lambda: bs.marginal_distribution(_GHZ3, [True, 2]), "measured position True is not an integer"
+    ),
+    "sample-float": (
+        lambda: bs.sample(_GHZ3, bs.MeasurementPlan(measured=(1.0, 2), sample_count=4)),
+        "measured position 1.0 is not an integer",
+    ),
+    "postselect-bool": (
+        lambda: bs.postselect(_GHZ3, {False: 0}), "postselect position False is not an integer"
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_NON_INTEGER_POSITIONS))
+def test_a_position_must_be_an_integer(name):
+    call, message = _NON_INTEGER_POSITIONS[name]
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        call()
+
+
+def test_numpy_integer_positions_are_accepted():
+    marginal = bs.marginal_distribution(_GHZ3, [np.int64(1), np.int32(3)])
+    assert_allclose(marginal, [[0.5, 0.0], [0.0, 0.5]])
+    assert hadamard_layer((np.int64(2),), 3).span == (1, 1)
+    assert controlled_mpo((np.int64(1),), PAULI_X, np.int32(3), 3).span == (0, 2)
+
+
 def _zeros(*shape):
     return np.zeros(shape)
 

@@ -46,7 +46,9 @@ from .tensor_core import (
     DenseCapExceeded,
     check_bit,
     check_positions,
+    clipped,
     dense_cap,
+    is_integer,
     orthonormalize_right,
     outcome_weights,
 )
@@ -91,6 +93,8 @@ class MeasurementPlan:
     With ``exact_probabilities`` left at True the report carries the exact
     marginal when no samples are requested, or when its ``2^m`` outcomes
     are at most 4,096 and within the dense cap; False leaves it out.
+    Positions, ``sample_count`` and ``seed`` (both >= 0) are stored as
+    ``int`` after the one integer rule (:func:`~mpoq.tensor_core.is_integer`).
     """
 
     measured: tuple[int, ...]
@@ -100,13 +104,22 @@ class MeasurementPlan:
     exact_probabilities: bool = True
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "measured", tuple(self.measured))
+        measured = tuple(self.measured)
+        for p in measured:  # checked before int() could make 1.5 position 1
+            if not is_integer(p):
+                raise ValueError(f"measured position {clipped(repr(p))} is not an integer")
+        object.__setattr__(self, "measured", tuple(map(int, measured)))
         if not self.measured:
             raise ValueError("measurement plan needs at least one measured qubit")
         if list(self.measured) != sorted(set(self.measured)):
             raise ValueError("measured positions must be strictly increasing")
-        if self.sample_count < 0:
-            raise ValueError("sample_count must be >= 0")
+        for name in ("sample_count", "seed"):
+            value = getattr(self, name)
+            if not is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {clipped(repr(value))}")
+            if value < 0:
+                raise ValueError(f"{name} must be >= 0")
+            object.__setattr__(self, name, int(value))
         overlap = set(self.measured) & set(self.postselect)
         if overlap:
             raise ValueError(f"postselected positions {sorted(overlap)} are also measured")

@@ -47,6 +47,7 @@ from .tensor_core import (
     basis_state_mps,
     block_core,
     compress_mpo,
+    is_integer,
     move_center,
     mpo_add,
     orthonormalize_left,
@@ -207,10 +208,6 @@ def solve_hidden_string(support) -> list[str]:
 # ---------------------------------------------------------------------------
 # quantum Fourier transform gate groups
 
-_QFT_TOP_0 = sealed(np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128) / np.sqrt(2.0))
-_QFT_TOP_1 = sealed(np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0))
-
-
 # bounded as a guard only: every size shares its entries, and qft(1413), the
 # largest within MAX_CORES, needs 8,475 of them in all 3 forms
 @functools.lru_cache(maxsize=1 << 14)
@@ -227,7 +224,8 @@ def _qft_core(place: str, k: int, form: str) -> np.ndarray:
     if place == "single":
         return block_core([[HADAMARD]])
     if place == "top":
-        return block_core([[_QFT_TOP_0, _QFT_TOP_1]])
+        return block_core([[np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128) / np.sqrt(2.0),
+                            np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)]])
     return controlled_core(1 if place == "middle" else 2, phase_shift_k(k))
 
 
@@ -404,11 +402,12 @@ def modular_exponentiation_mpo(a: int, modulus: int = SHOR_MODULUS) -> MPO:
     """Operator mapping |x, t> to |x, t XOR (a^x mod modulus)> on 3n qubits.
 
     ``a^x mod modulus`` depends only on ``x mod r`` (``r`` the order of
-    ``a``), so the chain is a residue automaton: its bonds carry the residue
-    of the input bits read so far, most significant first
-    (``s -> (2 s + b) mod r``), and each target core applies X where its bit
-    of ``a^j mod modulus`` is 1, diagonal in the residue ``j``.  One
-    rounding pass brings the bonds to their minimal ranks.
+    ``a``), so the chain is a residue automaton of :func:`block_core` cores:
+    its bonds carry the residue ``s`` of the input bits read so far, most
+    significant first, an input core's block ``(s, t)`` being ``CONTROL_b``
+    for ``t = (2 s + b) mod r``, and each target core is a diagonal over the
+    residue ``j`` of X where its bit of ``a^j mod modulus`` is 1 (else the
+    identity).  One rounding pass brings the bonds to their minimal ranks.
     """
     if not 1 < a < modulus:
         raise ValueError(f"base must satisfy 1 < a < {modulus}")
@@ -416,17 +415,13 @@ def modular_exponentiation_mpo(a: int, modulus: int = SHOR_MODULUS) -> MPO:
         raise ValueError(f"base {a} shares a factor with {modulus}")
     n_target = target_register_size(modulus)
     order = multiplicative_order(a, modulus)
-    step = np.zeros((order, 2, 2, order), dtype=np.complex128)
-    for s in range(order):
-        for b in (0, 1):
-            step[s, b, b, (2 * s + b) % order] = 1
+    step = block_core([[{2 * s % order: CONTROL_0, (2 * s + 1) % order: CONTROL_1}.get(t)
+                        for t in range(order)] for s in range(order)])
     cores = [step[:1]] + [step] * (2 * n_target - 1)
     powers = [format(pow(a, j, modulus), f"0{n_target}b") for j in range(order)]
     for k in range(n_target):
-        core = np.zeros_like(step)
-        for j, bits in enumerate(powers):
-            core[j, :, :, j] = PAULI_X if bits[k] == "1" else IDENTITY
-        cores.append(core)
+        gates = [PAULI_X if bits[k] == "1" else IDENTITY for bits in powers]
+        cores.append(block_core([[g if t == j else None for t in range(order)] for j, g in enumerate(gates)]))
     cores[-1] = cores[-1].sum(axis=3, keepdims=True)
     return compress_mpo(MPO(cores))
 
@@ -625,8 +620,9 @@ def build_builtin(name: str, arg: int | None = None) -> Circuit:
     """Check ``arg`` against builtin ``name`` and build its :class:`Circuit`.
 
     Raises ``ValueError`` for an unknown name, an argument given to a
-    circuit that takes none, and a missing or non-integer argument or one
-    outside ``[1, MAX_QUBITS]``.
+    circuit that takes none, and a missing or non-integer argument (see
+    :func:`~mpoq.tensor_core.is_integer`) or one outside ``[1, MAX_QUBITS]``;
+    the builder is passed the argument as an ``int``.
     """
     entry = BUILTINS.get(name)
     if entry is None:
@@ -637,6 +633,6 @@ def build_builtin(name: str, arg: int | None = None) -> Circuit:
     elif arg is None:
         example = f"{name}({entry.example})"
         raise ValueError(f"builtin {name} needs its argument {entry.arg}, e.g. {example}")
-    elif isinstance(arg, bool) or not isinstance(arg, int) or not 1 <= arg <= MAX_QUBITS:
+    elif not is_integer(arg) or not 1 <= arg <= MAX_QUBITS:
         raise ValueError(f"builtin {name}: {entry.arg} must be an integer in [1, {MAX_QUBITS}], got {arg!r}")
-    return entry.build(arg)
+    return entry.build(arg if arg is None else int(arg))

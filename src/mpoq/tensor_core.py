@@ -38,8 +38,8 @@ A chain seals every core it is given; a sealed core, or a C-ordered view
 of one, is shared as it is, anything else is copied once.  So a chain does
 not copy what a builder sealed (every :func:`block_core` result and the
 module constants the builders reuse, reshaped or not), and one array can
-serve many operators.  The library's two input rules live here too:
-:func:`check_bit` and :func:`check_positions`.
+serve many operators.  The library's input rules live here too:
+:func:`is_integer`, :func:`check_bit` and :func:`check_positions`.
 
 Bond indices use one fixed lumping convention throughout (first index
 varies fastest, i.e. Fortran-order reshapes), which keeps the SVD sweeps
@@ -49,6 +49,7 @@ with one such reshape each.
 
 from __future__ import annotations
 
+import numbers
 import os
 import re
 from dataclasses import dataclass
@@ -96,9 +97,10 @@ class TruncationPolicy:
     max_rank: int | None = None
 
     def __post_init__(self) -> None:
-        if not self.rel_threshold >= 0:
-            raise ValueError(f"rel_threshold must be >= 0, got {self.rel_threshold!r}")
-        if self.max_rank is not None and (type(self.max_rank) is not int or self.max_rank < 1):
+        rel = self.rel_threshold
+        if isinstance(rel, bool) or not isinstance(rel, numbers.Real) or not rel >= 0:
+            raise ValueError(f"rel_threshold must be >= 0, got {rel!r}")
+        if self.max_rank is not None and (not is_integer(self.max_rank) or self.max_rank < 1):
             raise ValueError(f"max_rank must be an integer >= 1 or None, got {self.max_rank!r}")
 
 
@@ -338,7 +340,9 @@ def block_core(rows) -> np.ndarray:
     """The core ``(len(rows), *block, len(rows[0]))`` whose bond block
     ``(i, j)`` is ``rows[i][j]``: a ket for a state core, a square matrix
     for an operator core, ``None`` for a zero block.  It is returned sealed
-    (:func:`sealed`), so a chain shares it without a copy."""
+    (:func:`sealed`), so a chain shares it without a copy.  The one builder
+    that places core entries by index: every closed-form core (states, gates,
+    catalog circuits and :func:`diag_mpo`) is written in it."""
     shape = next(np.shape(block) for row in rows for block in row if block is not None)
     core = np.zeros((len(rows), *shape, len(rows[0])), dtype=np.complex128)
     for i, row in enumerate(rows):
@@ -352,19 +356,24 @@ _KET0 = sealed([1.0, 0.0])
 _KET1 = sealed([0.0, 1.0])
 
 
+def is_integer(x) -> bool:
+    """The one integer rule: an int or numpy integer, never a bool or a float."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 def check_bit(b, what: str) -> None:
-    """The one bit rule: ``ValueError`` naming ``what`` unless ``b`` is the
-    integer 0 or 1 (an int or numpy integer, never a bool or a float)."""
-    if not isinstance(b, (int, np.integer)) or isinstance(b, bool) or b not in (0, 1):
+    """The one bit rule: ``ValueError`` naming ``what`` unless ``b`` is an
+    integer (:func:`is_integer`) equal to 0 or 1."""
+    if not is_integer(b) or b not in (0, 1):
         raise ValueError(f"{what} must be 0 or 1, got {clipped(repr(b))}")
 
 
 def check_positions(positions, n: int, what: str) -> None:
     """The one position rule: ``ValueError`` naming ``what`` unless every
-    1-based qubit position is an integer (an int or numpy integer, never a
-    bool or a float) in ``[1, n]`` and none is repeated."""
+    1-based qubit position is an integer (:func:`is_integer`) in ``[1, n]``
+    and none is repeated."""
     for p in positions:
-        if not isinstance(p, (int, np.integer)) or isinstance(p, bool):
+        if not is_integer(p):
             raise ValueError(f"{what} position {clipped(repr(p))} is not an integer")
         if not 1 <= p <= n:
             raise ValueError(f"{what} position {p} outside register [1, {n}]")
@@ -512,18 +521,13 @@ def mpo_add(left: MPO, right: MPO) -> MPO:
 
 
 def diag_mpo(state: MPS) -> MPO:
-    """Diagonal operator whose diagonal is the represented tensor.
+    """Diagonal operator whose diagonal is the represented tensor: bond
+    block ``(i, j)`` of each :func:`block_core` is ``np.diag(c[i, :, j])``.
 
     Satisfies ``diag_mpo(T).apply(T) == T * T`` elementwise.
     """
-    cores = []
-    for c in state.cores:
-        r, d, s = c.shape
-        out = np.zeros((r, d, d, s), dtype=np.complex128)
-        for x in range(d):
-            out[:, x, x, :] = c[:, x, :]
-        cores.append(out)
-    return MPO(cores)
+    return MPO([block_core([[np.diag(c[i, :, j]) for j in range(c.shape[2])] for i in range(c.shape[0])])
+                for c in state.cores])
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,36 @@ def test_plan_validation():
         bs.sample(tc.random_mps(4, 2, seed=0), plan)
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        ({"sample_count": True}, "sample_count must be an integer, got True"),
+        ({"sample_count": 2.0}, "sample_count must be an integer, got 2.0"),
+        ({"seed": True}, "seed must be an integer, got True"),
+        ({"seed": 1.5}, "seed must be an integer, got 1.5"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"measured": (1.5, 2)}, "measured position 1.5 is not an integer"),
+        ({"measured": (np.bool_(True),)}, "measured position np.True_ is not an integer"),
+    ],
+    ids=["bool-count", "float-count", "bool-seed", "float-seed", "negative-seed", "float-position",
+         "numpy-bool-position"],
+)
+def test_plan_counts_seeds_and_positions_follow_the_integer_rule(kwargs, message):
+    # a bool count or seed was taken as 1, and a float one ended in a TypeError
+    # inside the draw; 1.5 must not become position 1
+    with pytest.raises(ValueError, match=rf"^{message}$"):
+        bs.MeasurementPlan(**{"measured": (1,), **kwargs})
+
+
+def test_a_plan_stores_numpy_integers_as_int_and_its_report_serializes():
+    state = tc.named_state_mps("ghz", 3)
+    plan = bs.MeasurementPlan(measured=np.array([1, 3]), sample_count=np.int64(40), seed=np.uint16(2))
+    assert plan == bs.MeasurementPlan(measured=(1, 3), sample_count=40, seed=2)
+    assert all(type(v) is int for v in (*plan.measured, plan.sample_count, plan.seed))
+    reference = bs.sample(state, bs.MeasurementPlan(measured=(1, 3), sample_count=40, seed=2))
+    assert bs.sample(state, plan).to_json_text() == reference.to_json_text()
+
+
 def test_sampling_cost_scales_linearly_in_size():
     def pipeline_state(count):
         net = cat.full_adder_network_mpo(count)

@@ -612,6 +612,21 @@ def test_executor_outputs_keep_their_bytes():
     assert digest.hexdigest() == "e5202de8f0c0c717094bab08f6648aaaeccf2902635e0a3c5ec8d8d01183a1e3"
 
 
+def test_a_builtin_takes_a_numpy_integer_and_builds_from_an_int(monkeypatch):
+    seen = []
+    entry = cat.BUILTINS["qft"]
+    monkeypatch.setitem(cat.BUILTINS, "qft", cat.Builtin(
+        entry.arg, entry.example, entry.qubits, lambda n: seen.append(n) or entry.build(n)))
+    assert cat.build_builtin("qft", np.int64(4)).initial.n == 4
+    assert seen == [4] and type(seen[0]) is int
+
+
+@pytest.mark.parametrize("arg", [True, 4.0, np.float64(4.0), "4"])
+def test_a_builtin_refuses_an_argument_that_is_not_an_integer(arg):
+    with pytest.raises(ValueError, match=r"^builtin qft: n must be an integer in \[1, 100000\], got "):
+        cat.build_builtin("qft", arg)
+
+
 @pytest.mark.parametrize("name", list(cat.BUILTINS))
 def test_builtins_declare_their_register_size(name):
     entry = cat.BUILTINS[name]

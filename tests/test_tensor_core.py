@@ -534,12 +534,31 @@ def test_max_rank_cap():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"rel_threshold": float("nan")}, {"max_rank": 2.0}, {"max_rank": True}],
-    ids=["nan-threshold", "float-max-rank", "bool-max-rank"],
+    [{"rel_threshold": float("nan")}, {"max_rank": 2.0}, {"max_rank": True},
+     # True was silently read as 1.0, and "0.1" and None ended in a TypeError
+     {"rel_threshold": True}, {"rel_threshold": "0.1"}, {"rel_threshold": None}],
+    ids=["nan-threshold", "float-max-rank", "bool-max-rank", "bool-threshold", "str-threshold",
+         "none-threshold"],
 )
 def test_truncation_policy_rejects_nan_and_non_integer_rank(kwargs):
     with pytest.raises(ValueError):
         tc.TruncationPolicy(**kwargs)
+
+
+def test_truncation_policy_takes_a_numpy_integer_rank():
+    policy = tc.TruncationPolicy(max_rank=np.int64(2))
+    assert policy.max_rank == 2
+    assert tc.orthonormalize_right(tc.random_mps(6, 8, seed=16), policy).max_rank == 2
+
+
+@pytest.mark.parametrize("value", [0, 1, -3, np.int64(7), np.uint8(0), np.int32(-1)])
+def test_the_integer_rule_takes_ints_and_numpy_integers(value):
+    assert tc.is_integer(value)
+
+
+@pytest.mark.parametrize("value", [True, False, np.bool_(True), 1.0, np.float64(2.0), "1", None, 1j])
+def test_the_integer_rule_refuses_bools_floats_and_the_rest(value):
+    assert not tc.is_integer(value)
 
 
 def test_compress_mpo_finds_minimal_ranks():
@@ -696,6 +715,37 @@ def test_diag_mpo_dense_is_diagonal():
     dense = tc.diag_mpo(state).to_dense()
     assert_allclose(np.diag(dense), state.to_dense(), atol=1e-12)
     assert_allclose(dense - np.diag(np.diag(dense)), 0.0, atol=1e-14)
+
+
+def _diag_and_automaton_cores():
+    """``diag_mpo`` of 50 seeded random states (n 1..5, d 1..3, rank 1..3),
+    each also with some entries set to -0.0 and each scaled by -1, then the
+    modular-exponentiation automaton for every base of moduli 7 and 33."""
+    rng = np.random.default_rng(3017)
+    for k in range(50):
+        n, d, r = (int(x) for x in rng.integers(1, (6, 4, 4)))
+        state = tc.random_mps(n, r, seed=k, d=d)
+        signed = tc.MPS([np.where(rng.random(c.shape) < 0.3, complex(-0.0, -0.0), c)
+                         for c in state.cores])
+        for s in (state, signed, state.scaled(-1), signed.scaled(-1)):
+            yield from tc.diag_mpo(s).cores
+    for modulus in (7, 33):
+        for a in range(2, modulus):
+            if np.gcd(a, modulus) == 1:
+                yield from modular_exponentiation_mpo(a, modulus).cores
+
+
+def test_diag_mpo_and_automaton_keep_their_bytes():
+    # sha256 over the shape and bytes of every core, recorded before
+    # diag_mpo and the automaton were written with block_core
+    digest, count = hashlib.sha256(), 0
+    for core in _diag_and_automaton_cores():
+        assert core.dtype == np.complex128
+        digest.update(repr(core.shape).encode())
+        digest.update(np.ascontiguousarray(core).tobytes())
+        count += 1
+    assert count == 967
+    assert digest.hexdigest() == "21e667c22978a910b9e0b32b3b6116b6d2871bce13704bbeb25f87095e8ac082"
 
 
 

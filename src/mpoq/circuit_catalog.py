@@ -110,8 +110,8 @@ def full_adder_network_mpo(count: int) -> MPO:
     Adder ``i`` occupies qubits ``3i-2 .. 3i+1``; its carry-out qubit is the
     next adder's carry-in.  The maximum bond rank stays 4 for any count.
     """
-    if count < 1:
-        raise ValueError("network needs at least one adder")
+    if not is_integer(count) or count < 1:
+        raise ValueError(f"adder count must be an integer >= 1, got {count!r}")
     adder = full_adder_mpo()
     coupling = adder_coupling_core()
     cores = [adder.cores[0], adder.cores[1], adder.cores[2]]
@@ -123,6 +123,8 @@ def full_adder_network_mpo(count: int) -> MPO:
 
 def full_adder_network_input(count: int) -> MPS:
     """All-zero register with the two summand qubits of every adder superposed."""
+    if not is_integer(count) or count < 1:
+        raise ValueError(f"adder count must be an integer >= 1, got {count!r}")
     n = 3 * count + 1
     layer = hadamard_layer(full_adder_network_summands(count), n)
     return layer.apply(basis_state_mps([0] * n))
@@ -231,7 +233,7 @@ def _qft_core(place: str, k: int, form: str) -> np.ndarray:
 
 def _qft_group_cores(i: int, n: int, form: str) -> list[np.ndarray]:
     """The shared cores of gate group ``i`` of ``qft(n)`` in ``form`` (see
-    :func:`_qft_core`), one per qubit ``i..n``; the caller embeds them."""
+    :func:`_qft_core`), one per qubit ``i..n``; the caller lifts them."""
     if i == n:
         return [_qft_core("single", 0, form)]
     cores = [_qft_core("top", 0, form)]
@@ -240,32 +242,33 @@ def _qft_group_cores(i: int, n: int, form: str) -> list[np.ndarray]:
     return cores
 
 
-def _fourier_groups(n: int, form: str, order: range, total: int | None = None) -> tuple[MPO, ...]:
-    """Gate groups ``i`` of ``qft(n)``, for ``i`` in ``order``, in ``form``
-    (see :func:`_qft_core`), group ``i`` on qubits ``i..n`` of a register of
-    ``total`` qubits (default ``n``).
+def _fourier_groups(n: int, form: str, total: int | None = None) -> tuple[MPO, ...]:
+    """Gate groups ``1..n`` of ``qft(n)`` in ``form`` (see :func:`_qft_core`),
+    in reverse order for ``"adjoint"``, group ``i`` on qubits ``i..n`` of a
+    register of ``total`` qubits (default ``n``); ``n`` must be an integer.
 
     Group ``i`` is the Hadamard on qubit ``i`` followed by its controlled
     dyadic phases, merged into one chain of bond rank <= 2.  Its cores are
     shared with every other group: each depends only on its place in the
     group and its phase index.
     """
-    return tuple(MPO.embed(_qft_group_cores(i, n, form), i - 1, total or n) for i in order)
+    if not is_integer(n):
+        raise ValueError(f"a Fourier transform size must be an integer, got {n!r}")
+    order = range(n, 0, -1) if form == "adjoint" else range(1, n + 1)
+    return tuple(MPO(_qft_group_cores(i, n, form), i - 1, total or n) for i in order)
 
 
 def qft_sequence(n: int) -> "GateGroupSequence":
     """All QFT gate groups in application order (qubit order reversed on output)."""
     check_core_budget(n * (n + 1) // 2, f"qft({n})")
-    return GateGroupSequence(groups=_fourier_groups(n, "", range(1, n + 1)), label=f"qft({n})")
+    return GateGroupSequence(groups=_fourier_groups(n, ""), label=f"qft({n})")
 
 
 def inverse_qft_sequence(n: int) -> "GateGroupSequence":
     """Exact inverse of :func:`qft_sequence`: adjoint groups (conjugated
     phases, Hadamard applied last) in reverse order."""
     check_core_budget(n * (n + 1) // 2, f"inverse-qft({n})")
-    return GateGroupSequence(
-        groups=_fourier_groups(n, "adjoint", range(n, 0, -1)), label=f"inverse-qft({n})"
-    )
+    return GateGroupSequence(groups=_fourier_groups(n, "adjoint"), label=f"inverse-qft({n})")
 
 
 # ---------------------------------------------------------------------------
@@ -409,8 +412,9 @@ def modular_exponentiation_mpo(a: int, modulus: int = SHOR_MODULUS) -> MPO:
     residue ``j`` of X where its bit of ``a^j mod modulus`` is 1 (else the
     identity).  One rounding pass brings the bonds to their minimal ranks.
     """
-    if not 1 < a < modulus:
-        raise ValueError(f"base must satisfy 1 < a < {modulus}")
+    if not is_integer(a) or not is_integer(modulus) or not 1 < a < modulus:
+        raise ValueError(f"base and modulus must be integers with 1 < a < modulus, got {a!r} and {modulus!r}")
+    a, modulus = int(a), int(modulus)
     if math.gcd(a, modulus) != 1:
         raise ValueError(f"base {a} shares a factor with {modulus}")
     n_target = target_register_size(modulus)
@@ -444,8 +448,9 @@ def extract_period(y: int, denominator: int, a: int, modulus: int) -> PeriodExtr
     yields no factors; otherwise the gcd pair
     ``(gcd(a^(q/2) - 1, M), gcd(a^(q/2) + 1, M))`` is returned.
     """
-    if not 0 <= y < denominator:
-        raise ValueError(f"measured value {y} outside [0, {denominator})")
+    if not is_integer(y) or not 0 <= y < denominator:
+        raise ValueError(f"measured value must be an integer in [0, {denominator}), got {y!r}")
+    y = int(y)
     q = Fraction(y, denominator).limit_denominator(modulus - 1).denominator
     if y == 0:
         return PeriodExtraction(y, q, None, "zero measurement")
@@ -494,7 +499,7 @@ def shor_sequence(a: int) -> GateGroupSequence:
     total = n_input + target_register_size(SHOR_MODULUS)
     groups = [hadamard_layer(SHOR_INPUT, total), modular_exponentiation_mpo(a, SHOR_MODULUS)]
     # conjugated = inverse transform up to the qubit reversal read off later
-    groups += _fourier_groups(n_input, "conj", range(1, n_input + 1), total)
+    groups += _fourier_groups(n_input, "conj", total)
     return GateGroupSequence(groups=tuple(groups), label=f"shor({a})")
 
 
@@ -521,9 +526,9 @@ def shor_run(a: int) -> ShorResult:
     circuit = build_builtin("shor", a)
     run = run_gate_sequence(circuit.sequence, circuit.initial, circuit.policy)
     plan = born_sampler.MeasurementPlan(circuit.readout)
-    report, extractions = shor_readout(a, born_sampler.sample(run.state, plan))
+    report, extractions = shor_readout(circuit.shor_base, born_sampler.sample(run.state, plan))
     return ShorResult(
-        a=a,
+        a=circuit.shor_base,
         distribution=tuple((int(key, 2), p) for key, p in sorted(report.probabilities.items())),
         extractions=extractions,
         final_ranks=run.state.ranks,

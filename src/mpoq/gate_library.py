@@ -79,7 +79,7 @@ def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
     if matrix.shape != (2, 2):
         raise ValueError("target gate must be 2x2")
     if not controls:
-        return MPO.embed([matrix[None, :, :, None]], target - 1, n)
+        return MPO([matrix[None, :, :, None]], target - 1, n)
     lo, hi = min(*controls, target), max(*controls, target)
     cores = []
     for q in range(lo, hi + 1):
@@ -90,7 +90,7 @@ def controlled_mpo(controls, matrix: np.ndarray, target: int, n: int) -> MPO:
             cores.append(_CONTROL_CORES[place])
         else:
             cores.append(_PASS_CORE)
-    return MPO.embed(cores, lo - 1, n)
+    return MPO(cores, lo - 1, n)
 
 
 def hadamard_layer(positions, n: int) -> MPO:
@@ -100,4 +100,4 @@ def hadamard_layer(positions, n: int) -> MPO:
     positions = set(positions)
     lo, hi = (min(positions), max(positions)) if positions else (1, 1)
     mats = [HADAMARD if q in positions else IDENTITY for q in range(lo, hi + 1)]
-    return MPO.embed([m[None, :, :, None] for m in mats], lo - 1, n)
+    return MPO([m[None, :, :, None] for m in mats], lo - 1, n)

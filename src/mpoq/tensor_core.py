@@ -23,10 +23,10 @@ sweep, not one per SVD, that turns a failed or NaN SVD into
 An operator stores only the cores of the sites it acts on, its window
 ``MPO.span``, plus the register size ``MPO.n``; it is the identity on every
 other site.  Whoever builds a gate or gate group knows that window and
-lifts it with ``MPO.embed``, so a gate costs its window, not the register.
-``apply_window`` works on the window alone; the operations that need the
-whole register (products, sums, dense reconstruction, rounding) take it
-from ``MPO.padded``, the one place that writes identity cores.  Both
+passes it to ``MPO(cores, start, n)``, so a gate costs its window, not the
+register.  ``apply_window`` works on the window alone; the operations that
+need the whole register (products, sums, dense reconstruction, rounding)
+take it from ``MPO.padded``, the one place that writes identity cores.  Both
 containers read dims and ranks off that full list (a state's ``cores``)
 and share one dense contraction: an operator's cores, reshaped to order 3
 with each site's ``(row, col)`` as one index, are contracted as a state's.
@@ -235,38 +235,31 @@ class MPO(_Chain):
     """Matrix product operator: a chain of order-4 complex cores.
 
     Core ``i`` has shape ``(R_{i-1}, d_i, d_i, R_i)`` with the output
-    (row) physical index before the input (column) one.  An operator on an
-    ``n``-site register stores only the cores of its window
-    ``span = (lo, hi)`` (0-based, inclusive), ``cores[i - lo]`` for site
-    ``i``; it is the identity on every site outside the window.
-    ``MPO(cores)`` spans the whole register; :meth:`embed` records a
-    narrower window, and :meth:`padded` writes out all ``n`` cores for the
+    (row) physical index before the input (column) one.  ``MPO(cores,
+    start, n)`` stores only ``cores``, the window ``span = (lo, hi)``
+    (0-based, inclusive) from ``lo = start``, ``cores[i - lo]`` for site
+    ``i``, of an ``n``-site register, and is the identity on every other
+    site; ``n`` defaults to ``hi + 1``, so ``MPO(cores)`` spans the whole
+    register.  ``start`` and ``n`` follow :func:`is_integer` and are stored
+    as ``int``.  :meth:`padded` writes out all ``n`` cores for the
     operations that need the whole register.
     """
 
     __slots__ = ("span", "n")
 
-    def __init__(self, cores) -> None:
+    def __init__(self, cores, start: int = 0, n: int | None = None) -> None:
         self.cores = _chain(cores, 4)
-        self.span = (0, len(self.cores) - 1)
-        self.n = len(self.cores)
-
-    @classmethod
-    def embed(cls, cores, start: int, n: int) -> "MPO":
-        """Operator acting as ``cores`` on sites ``start, start + 1, ...``
-        (0-based) of an ``n``-site register and as the identity elsewhere;
-        only the window is stored, and its span is the sites of ``cores``."""
-        cores = list(cores)
-        hi = start + len(cores) - 1
-        if start < 0 or hi >= n:
-            raise ValueError(f"window {start}..{hi} outside a register of {n} sites")
-        op = cls(cores)
-        op.span, op.n = (start, hi), n
-        return op
+        if not is_integer(start) or n is not None and not is_integer(n):
+            raise ValueError("window start and register size must be integers, "
+                             f"got {clipped(repr(start))} and {clipped(repr(n))}")
+        start, hi = int(start), int(start) + len(self.cores) - 1
+        self.span, self.n = (start, hi), hi + 1 if n is None else int(n)
+        if start < 0 or hi >= self.n:
+            raise ValueError(f"window {start}..{hi} outside a register of {self.n} sites")
 
     @classmethod
     def identity(cls, n: int, d: int = 2) -> "MPO":
-        return cls([sealed(np.eye(d)[None, :, :, None])] * n)
+        return cls([sealed(np.eye(d)[None, :, :, None])], 0, n)
 
     def padded(self) -> tuple[np.ndarray, ...]:
         """All ``n`` cores: the window with rank-1 identity cores around it."""
@@ -409,8 +402,8 @@ def named_state_mps(name: str, n: int) -> MPS:
     ``bell_phi_minus``, ``bell_psi_plus``, ``bell_psi_minus``.  The Bell
     states require ``n=2``; the W state has bond dimension 2.
     """
-    if n < 2:
-        raise ValueError("named entangled states need n >= 2")
+    if not is_integer(n) or n < 2:
+        raise ValueError(f"named entangled states need an integer n >= 2, got {clipped(repr(n))}")
     if name not in ("ghz", "w", *_BELL_LAST):
         raise ValueError(f"unknown state name {name!r}; known: ghz, w, {', '.join(_BELL_LAST)}")
     if name in _BELL_LAST and n != 2:
@@ -429,6 +422,8 @@ def named_state_mps(name: str, n: int) -> MPS:
 
 def random_mps(n: int, max_rank: int, seed=None, d: int = 2) -> MPS:
     """Normalized random MPS with internal ranks ``min(max_rank, d^i, d^(n-i))``."""
+    if not is_integer(n) or n < 1:
+        raise ValueError(f"random_mps needs an integer n >= 1, got {clipped(repr(n))}")
     rng = np.random.default_rng(seed)
     ranks = [1] + [int(min(max_rank, d ** i, d ** (n - i))) for i in range(1, n)] + [1]
     cores = []

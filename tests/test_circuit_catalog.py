@@ -111,6 +111,14 @@ def test_network_of_one_is_the_adder():
         cat.full_adder_network_mpo(0)
 
 
+@pytest.mark.parametrize("count", [True, 2.0], ids=["bool", "float"])
+@pytest.mark.parametrize("build", [cat.full_adder_network_mpo, cat.full_adder_network_input],
+                         ids=["operator", "input"])
+def test_the_adder_network_needs_an_integer_count(build, count):
+    with pytest.raises(ValueError, match=r"^adder count must be an integer >= 1, got "):
+        build(count)
+
+
 def test_network_of_two_matches_dense_composition():
     network = cat.full_adder_network_mpo(2)
     assert network.max_rank == 4
@@ -769,6 +777,14 @@ def test_extract_period_failure_modes():
         cat.extract_period(256, 256, 7, 15)
 
 
+def test_extract_period_stores_a_numpy_integer_as_int():
+    row = cat.extract_period(np.int64(64), 256, 7, 15)
+    assert row == cat.extract_period(64, 256, 7, 15) and type(row.y) is int
+    assert json.dumps(row.y) == "64"
+    with pytest.raises(ValueError, match=r"^measured value must be an integer in \[0, 256\), got 64.0$"):
+        cat.extract_period(64.0, 256, 7, 15)
+
+
 def test_shor_readout_reverses_keys_and_sorts_rows():
     def report(counts, probabilities):
         return SampleReport(12, sum(counts.values()), 5, cat.SHOR_INPUT, counts, probabilities,
@@ -813,6 +829,33 @@ def test_shor_run_supports_and_ranks():
     assert max(result.final_ranks) == 2
     for _, p in result.distribution:
         assert p == pytest.approx(0.5, abs=1e-10)
+
+
+def test_shor_run_takes_a_numpy_integer_base():
+    result = cat.shor_run(np.int64(7))
+    assert type(result.a) is int and all(type(row.y) is int for row in result.extractions)
+    assert result == cat.shor_run(7)
+
+
+def test_shor_sequence_takes_a_numpy_integer_base():
+    got, want = cat.shor_sequence(np.int64(7)), cat.shor_sequence(7)
+    assert got.label == want.label == "shor(7)"
+    assert [(g.span, g.n) for g in got.groups] == [(g.span, g.n) for g in want.groups]
+    for g, w in zip(got.groups, want.groups):
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(g.cores, w.cores))
+
+
+@pytest.mark.parametrize("args", [(np.int64(7),), (7, np.int64(15))], ids=["base", "modulus"])
+def test_modular_exponentiation_takes_numpy_integers(args):
+    got, want = cat.modular_exponentiation_mpo(*args), cat.modular_exponentiation_mpo(7)
+    assert got.ranks == want.ranks
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(got.cores, want.cores))
+
+
+@pytest.mark.parametrize("args", [(7.0,), (7, 15.0)], ids=["base", "modulus"])
+def test_modular_exponentiation_refuses_a_float(args):
+    with pytest.raises(ValueError, match=r"^base and modulus must be integers with 1 < a < modulus, got "):
+        cat.modular_exponentiation_mpo(*args)
 
 
 # ---------------------------------------------------------------------------

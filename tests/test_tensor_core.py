@@ -363,13 +363,13 @@ def test_dimension_mismatch_raises():
 
 def test_embed_records_its_span():
     y = np.array([[0.0, -1j], [1j, 0.0]])[None, :, :, None]
-    op = tc.MPO.embed([y], 1, 3)
+    op = tc.MPO([y], 1, 3)
     assert op.span == (1, 1) and tc.MPO([y, y]).span == (0, 1)
     assert_allclose(op.to_dense(), kron_chain([IDENTITY, y[0, :, :, 0], IDENTITY]), atol=0)
     # a product is a full-span operator
     assert (op @ op).span == tc.mpo_add(op, op).span == (0, 2)
     with pytest.raises(ValueError):
-        tc.MPO.embed([y, y], 2, 3)
+        tc.MPO([y, y], 2, 3)
 
 
 def test_embed_stores_only_its_window():
@@ -388,7 +388,7 @@ if hard != resource.RLIM_INFINITY:
 resource.setrlimit(resource.RLIMIT_AS, (limit, hard))
 y = np.array([[0.0, -1j], [1j, 0.0]])[None, :, :, None]
 n = 10**9
-op = tc.MPO.embed([y], n - 1, n)
+op = tc.MPO([y], n - 1, n)
 assert op.n == n and op.span == (n - 1, n - 1) and len(op.cores) == 1
 """
     root = Path(__file__).resolve().parent.parent
@@ -412,7 +412,7 @@ def _random_window(rng, n):
         + 1j * rng.standard_normal((ranks[i], 2, 2, ranks[i + 1]))
         for i in range(hi - lo + 1)
     ]
-    return tc.MPO.embed(cores, lo, n)
+    return tc.MPO(cores, lo, n)
 
 
 def _dense_reference(op):
@@ -561,6 +561,62 @@ def test_the_integer_rule_refuses_bools_floats_and_the_rest(value):
     assert not tc.is_integer(value)
 
 
+#: Every entry point that builds an operator, or a sequence of them, from a
+#: register size.  The gates sit on qubit 1 only: a position above 1 is
+#: refused by the position rule first when the register size is ``True``.
+_REGISTER_BUILDERS = {
+    "MPO": lambda n: tc.MPO([IDENTITY[None, :, :, None]], 0, n),
+    "MPO.identity": lambda n: tc.MPO.identity(n),
+    "controlled_mpo": lambda n: controlled_mpo((), PAULI_X, 1, n),
+    "hadamard_layer": lambda n: hadamard_layer((1,), n),
+    "qft_sequence": qft_sequence,
+    "inverse_qft_sequence": inverse_qft_sequence,
+}
+
+
+@pytest.mark.parametrize("n", [True, 3.0], ids=["bool", "float"])
+@pytest.mark.parametrize("name", list(_REGISTER_BUILDERS))
+def test_every_operator_builder_follows_the_register_rule(name, n):
+    with pytest.raises(ValueError, match="must be (an integer|integers), got "):
+        _REGISTER_BUILDERS[name](n)
+
+
+@pytest.mark.parametrize("name", list(_REGISTER_BUILDERS))
+def test_a_numpy_register_size_is_stored_as_int(name):
+    op = _REGISTER_BUILDERS[name](np.int64(3))
+    assert op.n == 3 and type(op.n) is int
+
+
+def test_a_window_start_follows_the_integer_rule():
+    y = IDENTITY[None, :, :, None]
+    for start in (True, 1.0):
+        with pytest.raises(ValueError, match=r"^window start and register size must be integers, got "):
+            tc.MPO([y], start, 3)
+    op = tc.MPO([y], np.int64(1), 3)
+    assert op.span == (1, 1) and type(op.span[0]) is int
+    # the example of a controlled gate on a float register
+    with pytest.raises(ValueError, match=r"^window start and register size must be integers, got 0 and 3.0$"):
+        controlled_mpo((1,), PAULI_X, 2, 3.0)
+
+
+def test_the_identity_stores_one_core():
+    assert len(tc.MPO.identity(100_000).cores) == 1
+    for n in range(1, 7):
+        assert np.array_equal(tc.MPO.identity(n).to_dense(), np.eye(2 ** n))
+
+
+@pytest.mark.parametrize("n", [True, 2.0], ids=["bool", "float"])
+def test_random_mps_needs_an_integer_size(n):
+    with pytest.raises(ValueError, match=r"^random_mps needs an integer n >= 1, got "):
+        tc.random_mps(n, 2)
+
+
+@pytest.mark.parametrize("n", [True, 3.0], ids=["bool", "float"])
+def test_named_states_need_an_integer_size(n):
+    with pytest.raises(ValueError, match=r"^named entangled states need an integer n >= 2, got "):
+        tc.named_state_mps("ghz", n)
+
+
 def test_compress_mpo_finds_minimal_ranks():
     # product of two overlapping controlled gates has true rank 4 in the overlap
     a = controlled_mpo((1,), PAULI_X, 4, 5)
@@ -630,8 +686,8 @@ def _dense_pinned_operators():
         lo = int(rng.integers(0, n))
         hi = int(rng.integers(lo, n))
         bonds = [1] + [int(b) for b in rng.integers(1, 4, hi - lo)] + [1]
-        op = tc.MPO.embed([_random_core(rng, bonds[i], d, d, bonds[i + 1])
-                           for i in range(hi - lo + 1)], lo, n)
+        op = tc.MPO([_random_core(rng, bonds[i], d, d, bonds[i + 1])
+                     for i in range(hi - lo + 1)], lo, n)
         yield op
         yield op @ op
         yield tc.compress_mpo(op @ op)

@@ -15,7 +15,6 @@ reverse order; ``qft(n)`` still reports them in register order, and only
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import Counter
 from dataclasses import dataclass, replace
@@ -210,52 +209,35 @@ def solve_hidden_string(support) -> list[str]:
 # ---------------------------------------------------------------------------
 # quantum Fourier transform gate groups
 
-# bounded as a guard only: every size shares its entries, and qft(1413), the
-# largest within MAX_CORES, needs 8,475 of them in all 3 forms
-@functools.lru_cache(maxsize=1 << 14)
-def _qft_core(place: str, k: int, form: str) -> np.ndarray:
-    """The one shared, sealed copy of a QFT group core at ``place``:
-    ``"top"`` (the Hadamard split over the bond), ``"middle"`` or ``"last"``
-    (the :func:`controlled_core` of phase ``k`` at that place) or
-    ``"single"`` (the last group's Hadamard), in ``form``
-    ``""`` (qft), ``"conj"`` (every entry conjugated; shor) or ``"adjoint"``
-    (:func:`adjoint_core` of it; inverse-qft), for :func:`_qft_group_cores`."""
-    if form:
-        core = _qft_core(place, k, "")
-        return sealed(core.conj() if form == "conj" else adjoint_core(core))
-    if place == "single":
-        return block_core([[HADAMARD]])
-    if place == "top":
-        return block_core([[np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128) / np.sqrt(2.0),
-                            np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)]])
-    return controlled_core(1 if place == "middle" else 2, phase_shift_k(k))
-
-
-def _qft_group_cores(i: int, n: int, form: str) -> list[np.ndarray]:
-    """The shared cores of gate group ``i`` of ``qft(n)`` in ``form`` (see
-    :func:`_qft_core`), one per qubit ``i..n``; the caller lifts them."""
-    if i == n:
-        return [_qft_core("single", 0, form)]
-    cores = [_qft_core("top", 0, form)]
-    cores += [_qft_core("middle", k, form) for k in range(2, n - i + 1)]
-    cores.append(_qft_core("last", n - i + 1, form))
-    return cores
-
-
 def _fourier_groups(n: int, form: str, total: int | None = None) -> tuple[MPO, ...]:
-    """Gate groups ``1..n`` of ``qft(n)`` in ``form`` (see :func:`_qft_core`),
-    in reverse order for ``"adjoint"``, group ``i`` on qubits ``i..n`` of a
-    register of ``total`` qubits (default ``n``); ``n`` must be an integer.
+    """Gate groups ``1..n`` of ``qft(n)`` in ``form``: ``""`` (qft),
+    ``"conj"`` (every entry conjugated; shor) or ``"adjoint"`` (each core's
+    :func:`adjoint_core`, groups in reverse order; inverse-qft), group ``i``
+    on qubits ``i..n`` of a register of ``total`` qubits (default ``n``);
+    ``n`` must be an integer >= 1.
 
     Group ``i`` is the Hadamard on qubit ``i`` followed by its controlled
-    dyadic phases, merged into one chain of bond rank <= 2.  Its cores are
-    shared with every other group: each depends only on its place in the
-    group and its phase index.
+    dyadic phases, merged into one chain of bond rank <= 2.  A core depends
+    only on its place in the group and its phase index, so the call builds
+    the 2n - 1 distinct cores once and every group holds references to them.
     """
     if not is_integer(n):
         raise ValueError(f"a Fourier transform size must be an integer, got {n!r}")
+    if n < 1:
+        raise ValueError(f"a Fourier transform needs at least one qubit, got {n!r}")
+    phases = [phase_shift_k(k) for k in range(2, n + 1)]
+    cores = [block_core([[HADAMARD]]),
+             block_core([[np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128) / np.sqrt(2.0),
+                          np.array([[0.0, 0.0], [1.0, -1.0]], dtype=np.complex128) / np.sqrt(2.0)]])]
+    cores += [controlled_core(1, p) for p in phases[:-1]] + [controlled_core(2, p) for p in phases]
+    if form:
+        cores = [sealed(c.conj() if form == "conj" else adjoint_core(c)) for c in cores]
+    # the last group's Hadamard, the top core (the Hadamard split over the
+    # bond), the middle cores of phases 2..n-1 and the last of phases 2..n
+    single, top, middle, last = cores[0], cores[1], cores[2:n], cores[n:]
+    groups = [[top, *middle[:n - i - 1], last[n - i - 1]] for i in range(1, n)] + [[single]]
     order = range(n, 0, -1) if form == "adjoint" else range(1, n + 1)
-    return tuple(MPO(_qft_group_cores(i, n, form), i - 1, total or n) for i in order)
+    return tuple(MPO(groups[i - 1], i - 1, total or n) for i in order)
 
 
 def qft_sequence(n: int) -> "GateGroupSequence":
@@ -387,8 +369,10 @@ def shor_closed_form_mpo(a: int) -> MPO:
 
 
 def target_register_size(modulus: int) -> int:
-    """Qubits that hold every residue below ``modulus``."""
-    return modulus.bit_length()
+    """Qubits that hold every residue below ``modulus``, an integer >= 2."""
+    if not is_integer(modulus) or modulus < 2:
+        raise ValueError(f"a modulus must be an integer >= 2, got {modulus!r}")
+    return int(modulus).bit_length()
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
@@ -448,9 +432,12 @@ def extract_period(y: int, denominator: int, a: int, modulus: int) -> PeriodExtr
     yields no factors; otherwise the gcd pair
     ``(gcd(a^(q/2) - 1, M), gcd(a^(q/2) + 1, M))`` is returned.
     """
+    if not all(map(is_integer, (denominator, a, modulus))) or not 1 < a < modulus:
+        raise ValueError("denominator, base and modulus must be integers with 1 < a < modulus, "
+                         f"got {denominator!r}, {a!r} and {modulus!r}")
     if not is_integer(y) or not 0 <= y < denominator:
         raise ValueError(f"measured value must be an integer in [0, {denominator}), got {y!r}")
-    y = int(y)
+    y, denominator, a, modulus = int(y), int(denominator), int(a), int(modulus)
     q = Fraction(y, denominator).limit_denominator(modulus - 1).denominator
     if y == 0:
         return PeriodExtraction(y, q, None, "zero measurement")
@@ -544,9 +531,10 @@ MAX_QUBITS = 100_000
 
 #: Most operator cores one circuit may store over all its groups.  It bounds
 #: the core references the groups hold and the core applications of a run
-#: (each stored core is contracted once).  QFT groups share their cores, so
-#: ``qft(1413)``'s 998,991 references hold about 9 MB; the cores of lifted
-#: gates are their own arrays, about 460 bytes each, 0.46 GB at the budget.
+#: (each stored core is contracted once).  The groups of one QFT sequence
+#: share its 2n - 1 cores, so ``qft(1413)``'s 998,991 references hold about
+#: 9 MB; the cores of lifted gates are their own arrays, about 460 bytes
+#: each, 0.46 GB at the budget.
 MAX_CORES = 10 ** 6
 
 

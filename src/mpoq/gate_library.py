@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .tensor_core import MPO, block_core, check_positions, sealed
+from .tensor_core import MPO, block_core, check_positions, clipped, is_integer, sealed
 
 IDENTITY = sealed(np.eye(2))
 PAULI_X = sealed([[0.0, 1.0], [1.0, 0.0]])
@@ -29,11 +29,12 @@ def phase_shift(phi: float) -> np.ndarray:
 
 
 def phase_shift_k(k: int) -> np.ndarray:
-    """Dyadic phase gate diag(1, e^{2 pi i / 2^k})."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
+    """Dyadic phase gate diag(1, e^{2 pi i / 2^k}) for an integer ``k >= 1``
+    (:func:`~mpoq.tensor_core.is_integer`)."""
+    if not is_integer(k) or k < 1:
+        raise ValueError(f"k must be an integer >= 1, got {clipped(repr(k))}")
     # ldexp, not / 2 ** k: a large k underflows to the identity instead of overflowing
-    return phase_shift(math.ldexp(2.0 * np.pi, -k))
+    return phase_shift(math.ldexp(2.0 * np.pi, -int(k)))
 
 
 @dataclass(frozen=True)

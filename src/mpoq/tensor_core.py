@@ -259,6 +259,8 @@ class MPO(_Chain):
 
     @classmethod
     def identity(cls, n: int, d: int = 2) -> "MPO":
+        if not is_integer(d) or d < 1:
+            raise ValueError(f"a site dimension must be an integer >= 1, got {clipped(repr(d))}")
         return cls([sealed(np.eye(d)[None, :, :, None])], 0, n)
 
     def padded(self) -> tuple[np.ndarray, ...]:
@@ -424,8 +426,12 @@ def random_mps(n: int, max_rank: int, seed=None, d: int = 2) -> MPS:
     """Normalized random MPS with internal ranks ``min(max_rank, d^i, d^(n-i))``."""
     if not is_integer(n) or n < 1:
         raise ValueError(f"random_mps needs an integer n >= 1, got {clipped(repr(n))}")
+    if not is_integer(max_rank) or not is_integer(d) or max_rank < 1 or d < 1:
+        raise ValueError("random_mps needs integers max_rank >= 1 and d >= 1, "
+                         f"got {clipped(repr(max_rank))} and {clipped(repr(d))}")
+    n, max_rank, d = int(n), int(max_rank), int(d)
     rng = np.random.default_rng(seed)
-    ranks = [1] + [int(min(max_rank, d ** i, d ** (n - i))) for i in range(1, n)] + [1]
+    ranks = [1] + [min(max_rank, d ** i, d ** (n - i)) for i in range(1, n)] + [1]
     cores = []
     for i in range(n):
         shape = (ranks[i], d, ranks[i + 1])

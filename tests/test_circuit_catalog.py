@@ -1,9 +1,11 @@
 """Unit tests for the closed-form circuit builders and the executor."""
 
+import gc
 import hashlib
 import itertools
 import json
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -304,9 +306,6 @@ def test_qft_groups_share_their_cores():
         groups.sort(key=lambda g: g.span)
         for group in groups[1:]:
             assert all(c is f for c, f in zip(group.cores[:-1], groups[0].cores))
-    # the last core of group i carries phase n - i + 1, whatever n is
-    assert cat.qft_sequence(8).groups[0].cores[-1] is cat.qft_sequence(9).groups[1].cores[-1]
-    assert cat.qft_sequence(8).groups[7].cores[0] is cat.qft_sequence(3).groups[2].cores[0]
     forward, inverse = cat.qft_sequence(8).groups[1], cat.inverse_qft_sequence(8).groups[6]
     assert all(a is not b for a, b in zip(forward.cores, inverse.cores))
     for core in forward.cores + inverse.cores + cat.shor_sequence(7).groups[-2].cores:
@@ -317,13 +316,25 @@ def test_qft_groups_share_their_cores():
 
 
 def test_each_qft_core_is_built_once_per_form():
-    cat._qft_core.cache_clear()
-    cat.qft_sequence(8)
-    plain = cat._qft_core.cache_info().currsize
-    assert plain == 15  # top, single, middle k = 2..7, last k = 2..8
-    cat.inverse_qft_sequence(8)
-    cat.shor_sequence(2)  # its inverse transform is qft(8) in the conj form
-    assert cat._qft_core.cache_info().currsize == 3 * plain
+    # top, single, middle k = 2..7, last k = 2..8
+    shor_fourier = cat.shor_sequence(2).groups[-8:]  # qft(8) in the conj form
+    for groups in (cat.qft_sequence(8).groups, cat.inverse_qft_sequence(8).groups, shor_fourier):
+        assert len({id(c) for g in groups for c in g.cores}) == 15
+
+
+def test_no_qft_core_outlives_its_sequence():
+    sequence = cat.qft_sequence(5)
+    refs = [weakref.ref(c) for g in sequence.groups for c in g.cores]
+    del sequence
+    gc.collect()
+    assert all(ref() is None for ref in refs)
+
+
+@pytest.mark.parametrize("build, n", [(cat.qft_sequence, 0), (cat.qft_sequence, -1),
+                                      (cat.inverse_qft_sequence, 0)])
+def test_an_empty_fourier_transform_is_refused(build, n):
+    with pytest.raises(ValueError, match=r"^a Fourier transform needs at least one qubit, got "):
+        build(n)
 
 
 def test_qft_sequence_stores_core_references_not_core_copies():
@@ -783,6 +794,25 @@ def test_extract_period_stores_a_numpy_integer_as_int():
     assert json.dumps(row.y) == "64"
     with pytest.raises(ValueError, match=r"^measured value must be an integer in \[0, 256\), got 64.0$"):
         cat.extract_period(64.0, 256, 7, 15)
+
+
+def test_extract_period_computes_with_numpy_integers_as_int():
+    row = cat.extract_period(64, np.int64(256), np.int64(7), np.int64(15))
+    assert row == cat.extract_period(64, 256, 7, 15) and type(row.factors[0]) is int
+    size = cat.target_register_size(np.int64(15))
+    assert size == 4 and type(size) is int
+
+
+@pytest.mark.parametrize("a", [True, 7.0, 1, 15], ids=["bool", "float", "one", "modulus"])
+def test_extract_period_refuses_a_base_outside_the_integer_rule(a):
+    with pytest.raises(ValueError, match=r"^denominator, base and modulus must be integers "):
+        cat.extract_period(64, 256, a, 15)
+
+
+@pytest.mark.parametrize("modulus", [True, 15.0, 1], ids=["bool", "float", "one"])
+def test_a_modulus_follows_the_integer_rule(modulus):
+    with pytest.raises(ValueError, match=r"^a modulus must be an integer >= 2, got "):
+        cat.target_register_size(modulus)
 
 
 def test_shor_readout_reverses_keys_and_sorts_rows():

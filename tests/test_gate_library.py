@@ -28,6 +28,16 @@ def test_gate_matrix_properties():
     assert_allclose(gl.phase_shift(0.7), np.diag([1.0, np.exp(0.7j)]), atol=1e-15)
 
 
+@pytest.mark.parametrize("k", [True, 2.5, 0], ids=["bool", "float", "zero"])
+def test_a_dyadic_phase_index_follows_the_integer_rule(k):
+    with pytest.raises(ValueError, match=r"^k must be an integer >= 1, got "):
+        gl.phase_shift_k(k)
+
+
+def test_a_numpy_dyadic_phase_index_gives_the_int_gate():
+    assert np.array_equal(gl.phase_shift_k(np.int64(3)), gl.phase_shift_k(3))
+
+
 def test_single_qubit_mpo_dense():
     assert_allclose(gl.controlled_mpo((), gl.HADAMARD, 1, 1).to_dense(), gl.HADAMARD)
     expected = kron_chain([np.eye(2), gl.HADAMARD, np.eye(2)])

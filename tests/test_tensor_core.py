@@ -611,6 +611,24 @@ def test_random_mps_needs_an_integer_size(n):
         tc.random_mps(n, 2)
 
 
+@pytest.mark.parametrize("max_rank, d", [(2.5, 2), (True, 2), (2, 2.0), (0, 2), (2, 0)],
+                         ids=["float-rank", "bool-rank", "float-dimension", "zero-rank", "zero-dimension"])
+def test_random_mps_needs_integer_ranks_and_dimensions(max_rank, d):
+    with pytest.raises(ValueError, match=r"^random_mps needs integers max_rank >= 1 and d >= 1, got "):
+        tc.random_mps(4, max_rank, seed=0, d=d)
+
+
+def test_random_mps_computes_its_ranks_with_int():
+    # an int64 size of 70 overflows 2 ** (n - i) in numpy arithmetic
+    assert tc.random_mps(np.int64(70), 3, seed=0).ranks == tc.random_mps(70, 3, seed=0).ranks
+
+
+@pytest.mark.parametrize("d", [True, 2.0, 0], ids=["bool", "float", "zero"])
+def test_the_identity_needs_an_integer_site_dimension(d):
+    with pytest.raises(ValueError, match=r"^a site dimension must be an integer >= 1, got "):
+        tc.MPO.identity(2, d=d)
+
+
 @pytest.mark.parametrize("n", [True, 3.0], ids=["bool", "float"])
 def test_named_states_need_an_integer_size(n):
     with pytest.raises(ValueError, match=r"^named entangled states need an integer n >= 2, got "):

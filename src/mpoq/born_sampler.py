@@ -93,8 +93,9 @@ class MeasurementPlan:
     With ``exact_probabilities`` left at True the report carries the exact
     marginal when no samples are requested, or when its ``2^m`` outcomes
     are at most 4,096 and within the dense cap; False leaves it out.
-    Positions, ``sample_count`` and ``seed`` (both >= 0) are stored as
-    ``int`` after the one integer rule (:func:`~mpoq.tensor_core.is_integer`).
+    Measured and postselect positions, ``sample_count`` and ``seed`` (both
+    >= 0) are stored as ``int`` after the one integer rule
+    (:func:`~mpoq.tensor_core.is_integer`).
     """
 
     measured: tuple[int, ...]
@@ -104,11 +105,13 @@ class MeasurementPlan:
     exact_probabilities: bool = True
 
     def __post_init__(self) -> None:
-        measured = tuple(self.measured)
-        for p in measured:  # checked before int() could make 1.5 position 1
-            if not is_integer(p):
-                raise ValueError(f"measured position {clipped(repr(p))} is not an integer")
+        measured, postselect = tuple(self.measured), dict(self.postselect)
+        for what, positions in (("measured", measured), ("postselect", postselect)):
+            for p in positions:  # checked before int() could make 1.5 position 1
+                if not is_integer(p):
+                    raise ValueError(f"{what} position {clipped(repr(p))} is not an integer")
         object.__setattr__(self, "measured", tuple(map(int, measured)))
+        object.__setattr__(self, "postselect", {int(p): b for p, b in postselect.items()})
         if not self.measured:
             raise ValueError("measurement plan needs at least one measured qubit")
         if list(self.measured) != sorted(set(self.measured)):

@@ -37,7 +37,6 @@ from .gate_library import (
 )
 from .tensor_core import (
     DEFAULT_POLICY,
-    LOSSLESS,
     MPO,
     MPS,
     TruncationPolicy,
@@ -49,8 +48,6 @@ from .tensor_core import (
     is_integer,
     move_center,
     mpo_add,
-    orthonormalize_left,
-    orthonormalize_right,
     sealed,
 )
 
@@ -214,7 +211,8 @@ def _fourier_groups(n: int, form: str, total: int | None = None) -> tuple[MPO, .
     ``"conj"`` (every entry conjugated; shor) or ``"adjoint"`` (each core's
     :func:`adjoint_core`, groups in reverse order; inverse-qft), group ``i``
     on qubits ``i..n`` of a register of ``total`` qubits (default ``n``);
-    ``n`` must be an integer >= 1.
+    ``n`` must be an integer >= 1 whose ``n (n + 1) / 2`` cores fit
+    :func:`check_core_budget`, checked before any core is built.
 
     Group ``i`` is the Hadamard on qubit ``i`` followed by its controlled
     dyadic phases, merged into one chain of bond rank <= 2.  A core depends
@@ -225,6 +223,8 @@ def _fourier_groups(n: int, form: str, total: int | None = None) -> tuple[MPO, .
         raise ValueError(f"a Fourier transform size must be an integer, got {n!r}")
     if n < 1:
         raise ValueError(f"a Fourier transform needs at least one qubit, got {n!r}")
+    n = int(n)
+    check_core_budget(n * (n + 1) // 2, f"{'inverse-qft' if form == 'adjoint' else 'qft'}({n})")
     phases = [phase_shift_k(k) for k in range(2, n + 1)]
     cores = [block_core([[HADAMARD]]),
              block_core([[np.array([[1.0, 1.0], [0.0, 0.0]], dtype=np.complex128) / np.sqrt(2.0),
@@ -242,14 +242,12 @@ def _fourier_groups(n: int, form: str, total: int | None = None) -> tuple[MPO, .
 
 def qft_sequence(n: int) -> "GateGroupSequence":
     """All QFT gate groups in application order (qubit order reversed on output)."""
-    check_core_budget(n * (n + 1) // 2, f"qft({n})")
     return GateGroupSequence(groups=_fourier_groups(n, ""), label=f"qft({n})")
 
 
 def inverse_qft_sequence(n: int) -> "GateGroupSequence":
     """Exact inverse of :func:`qft_sequence`: adjoint groups (conjugated
     phases, Hadamard applied last) in reverse order."""
-    check_core_budget(n * (n + 1) // 2, f"inverse-qft({n})")
     return GateGroupSequence(groups=_fourier_groups(n, "adjoint"), label=f"inverse-qft({n})")
 
 
@@ -292,24 +290,26 @@ def run_gate_sequence(
 ) -> RunResult:
     """Apply the groups in order, each on its support window only.
 
-    The input is first rounded once with ``policy`` (a lossless left sweep
-    and a truncating right sweep, as a full-width step would do), which
-    leaves it right-orthonormal with the center on site 1; the center is
-    then tracked.  Each group is contracted on its recorded span
-    (``MPO.span``) and only that span, plus one bond on each side, is
-    rounded back to its numerical ranks
-    (:func:`tensor_core.apply_window`), so a group costs what its window
-    costs, not what the register costs.  For unitary
-    groups the bond profile after each group equals that of a full
-    lossless-left, truncating-right sweep.  The returned state is
-    right-orthonormal and directly samplable; with unitary groups and a
-    normalized input it stays normalized.
+    The input is rounded on the executor's own list of its cores by the two
+    :func:`tensor_core.move_center` sweeps that ``apply_window`` rounds a
+    window with, here the whole register: lossless to the last site, then
+    cut by ``policy`` back to site 1, where the center is then tracked.
+    Each group is contracted on its span (``MPO.span``) and only that span,
+    plus one bond on each side, is rounded back to its numerical ranks
+    (:func:`tensor_core.apply_window`), so a group costs its window, not
+    the register, and every value a run cuts is cut by one of these
+    ``move_center`` calls.  For unitary groups the bond profile after each
+    group equals that of a full lossless-left, truncating-right sweep.  The
+    returned state, right-orthonormal and samplable, is the only state a
+    run builds; with unitary groups and a normalized input it stays
+    normalized.
     """
     # the sequence guarantees that all its groups share one register
     if sequence.groups and sequence.n != initial.n:
         raise ValueError("group register size does not match the state")
-    cores = list(orthonormalize_right(orthonormalize_left(initial, LOSSLESS), policy).cores)
-    center = 0
+    cores = list(initial.cores)
+    move_center(cores, 0, len(cores) - 1)
+    center = move_center(cores, len(cores) - 1, 0, policy)
     ranks = [1] + [c.shape[2] for c in cores]
     history = []
     for group in sequence.groups:
@@ -362,8 +362,8 @@ def _uf_term(input_pattern: str, f_value: int, n_input: int, n_target: int):
 
 def shor_closed_form_mpo(a: int) -> MPO:
     """Golden-reference operator for M = 15, transcribed term by term."""
-    if a not in SHOR_UF_CLOSED_FORM:
-        raise ValueError(f"no closed form for base {a}; supported: {SHOR_BASES}")
+    if not is_integer(a) or a not in SHOR_UF_CLOSED_FORM:
+        raise ValueError(f"no closed form for base {a!r}; supported: {SHOR_BASES}")
     terms = [_uf_term(pattern, f, 8, 4) for pattern, f in SHOR_UF_CLOSED_FORM[a]]
     return _rank_one_terms_mpo(terms)
 

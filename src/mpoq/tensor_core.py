@@ -203,11 +203,14 @@ class MPS(_Chain):
         return len(self.cores)
 
     def element(self, indices) -> complex:
-        """Single tensor entry: the product of the selected core slices."""
+        """Single tensor entry: the product of the selected core slices, one
+        integer index (:func:`is_integer`) per site."""
         if len(indices) != self.n:
             raise ValueError("index list length must match the number of sites")
         vec = None
         for core, x in zip(self.cores, indices):
+            if not is_integer(x):
+                raise ValueError(f"physical index {clipped(repr(x))} is not an integer")
             if not 0 <= x < core.shape[1]:
                 raise IndexError(f"physical index {x} out of range [0, {core.shape[1]})")
             vec = core[:, x, :] if vec is None else vec @ core[:, x, :]
@@ -486,14 +489,18 @@ def transform_bond(value, i: int, q: np.ndarray):
     """Insert ``q`` and ``q^{-1}`` on bond ``i`` (between cores ``i`` and ``i+1``).
 
     Works on states and operators; the represented tensor is preserved
-    exactly.  Raises ``numpy.linalg.LinAlgError`` for singular ``q``.
+    exactly.  Raises ``numpy.linalg.LinAlgError`` for singular ``q``,
+    ``ValueError`` for a bond index that is not an integer
+    (:func:`is_integer`) and ``IndexError`` for one outside ``[0, n - 2]``.
     """
     q = np.asarray(q, dtype=np.complex128)
     if q.ndim != 2 or q.shape[0] != q.shape[1]:
         raise ValueError("paired bond transform needs a square matrix")
     q_inv = np.linalg.inv(q)
     cores = list(value._sites())
-    if i + 1 >= len(cores):
+    if not is_integer(i):
+        raise ValueError(f"a bond index must be an integer, got {clipped(repr(i))}")
+    if not 0 <= i < len(cores) - 1:
         raise IndexError("bond index out of range")
     cores[i] = cores[i] @ q
     cores[i + 1] = _left_multiplied(cores[i + 1], q_inv)

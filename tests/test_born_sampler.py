@@ -58,6 +58,11 @@ def test_marginal_handles_unnormalized_input():
     assert_allclose(marginal, [0.5, 0.5], atol=1e-12)
 
 
+def test_marginal_of_the_zero_state_has_no_probability():
+    with pytest.raises(bs.ZeroProbabilityError, match="^state has zero norm$"):
+        bs.marginal_distribution(tc.named_state_mps("ghz", 3).scaled(0.0), [1])
+
+
 def test_marginal_validation():
     state = tc.named_state_mps("ghz", 3)
     with pytest.raises(ValueError):
@@ -437,6 +442,16 @@ def test_postselect_refuses_a_bit_that_is_not_an_integer(bit):
 def test_plan_refuses_a_postselect_bit_that_is_not_an_integer(bit):
     with pytest.raises(ValueError, match="must be 0 or 1"):
         bs.MeasurementPlan(measured=(1,), postselect={2: bit})
+
+
+def test_plan_checks_postselect_positions_like_measured_ones():
+    # {2.0: 0} was accepted and stored; only sample refused it, after the run
+    with pytest.raises(ValueError, match=r"^postselect position 2\.0 is not an integer$"):
+        bs.MeasurementPlan(measured=(1,), postselect={2.0: 0})
+    with pytest.raises(ValueError, match=r"^postselect position True is not an integer$"):
+        bs.MeasurementPlan(measured=(1,), postselect={True: 0})
+    plan = bs.MeasurementPlan(measured=(1,), postselect={np.int64(2): 0})
+    assert plan.postselect == {2: 0} and all(type(p) is int for p in plan.postselect)
 
 
 def test_plan_validation():

@@ -217,6 +217,7 @@ def test_simon_hidden_string_recovery():
     everything = {format(i, "04b") for i in range(16)}
     assert cat.solve_hidden_string(everything) == []
     assert cat.solve_hidden_string({"0000", "0110", "1001", "1100"}) == ["1111"]
+    assert cat.solve_hidden_string(set()) == []  # no support, no width to solve in
 
 
 def test_hidden_string_solutions_are_the_nullspace():
@@ -337,6 +338,15 @@ def test_an_empty_fourier_transform_is_refused(build, n):
         build(n)
 
 
+@pytest.mark.parametrize("build, n", [(cat.qft_sequence, "8"), (cat.qft_sequence, None),
+                                      (cat.inverse_qft_sequence, "8")])
+def test_a_fourier_size_that_is_not_a_number_is_refused(build, n):
+    # the core budget was computed from n before the integer rule, so these
+    # ended in a TypeError from the arithmetic
+    with pytest.raises(ValueError, match=r"^a Fourier transform size must be an integer, got "):
+        build(n)
+
+
 def test_qft_sequence_stores_core_references_not_core_copies():
     tracemalloc.start()
     try:
@@ -388,6 +398,22 @@ def test_run_gate_sequence_rounds_the_input_also_without_groups():
     twice = cat.run_gate_sequence(cat.GateGroupSequence((x, x)), w, capped)
     assert empty.state.max_rank == twice.state.max_rank == 1
     assert_allclose(empty.state.to_dense(), twice.state.to_dense(), atol=1e-12)
+
+
+def test_a_run_builds_one_state(monkeypatch):
+    # the input is rounded on the executor's own list of cores, so the
+    # returned state is the only chain of order 3 that a run checks and seals
+    orders = []
+    chain = tc._chain
+
+    def counting_chain(cores, order):
+        orders.append(order)
+        return chain(cores, order)
+
+    sequence, initial = cat.qft_sequence(6), tc.random_mps(6, 3, seed=4)
+    monkeypatch.setattr(tc, "_chain", counting_chain)
+    cat.run_gate_sequence(sequence, initial, tc.TruncationPolicy(max_rank=2))
+    assert orders.count(3) == 1
 
 
 def test_run_gate_sequence_normalization_and_mismatch():
@@ -688,6 +714,13 @@ def test_closed_form_equals_generic_construction(a):
         assert_allclose(
             closed.apply(probe).to_dense(), generic.apply(probe).to_dense(), atol=1e-12
         )
+
+
+def test_the_closed_form_needs_an_integer_base():
+    # 7.0 built the a = 7 operator, because the table lookup reads 7.0 as 7
+    with pytest.raises(ValueError, match=r"^no closed form for base 7\.0; supported: "):
+        cat.shor_closed_form_mpo(7.0)
+    assert cat.shor_closed_form_mpo(np.int64(7)).ranks == cat.shor_closed_form_mpo(7).ranks
 
 
 def test_closed_form_dense_anchor(monkeypatch):

@@ -181,10 +181,10 @@ def test_spaced_entries_read_as_their_plain_forms(spelled, plain, tmp_path, caps
 def test_qft_above_the_core_budget_is_rejected_before_any_group_is_built(
     tmp_path, monkeypatch, capsys
 ):
-    def fourier_groups(n, form, total=None):
-        raise AssertionError(f"built the groups of qft({n})")
+    def phase_shift_k(k):
+        raise AssertionError(f"built phase {k} of a qft group")
 
-    monkeypatch.setattr(catalog, "_fourier_groups", fourier_groups)
+    monkeypatch.setattr(catalog, "phase_shift_k", phase_shift_k)
     # 1413 * 1414 / 2 = 998,991 cores fit the budget; 1414 * 1415 / 2 do not
     with pytest.raises(AssertionError, match="qft"):
         catalog.qft_sequence(1413)

@@ -280,6 +280,16 @@ def test_element_rejects_out_of_range():
         state.element((1,))
 
 
+@pytest.mark.parametrize("indices", [(True, True, True), (False, 0, 0), (1.0, 0, 0)])
+def test_element_refuses_a_bool_or_float_index(indices):
+    # (True, True, True) ended in numpy's "only 0-dimensional arrays" TypeError,
+    # (False, 0, 0) and (1.0, 0, 0) in numpy IndexErrors
+    state = tc.named_state_mps("ghz", 3)
+    with pytest.raises(ValueError, match=rf"^physical index {indices[0]!r} is not an integer$"):
+        state.element(indices)
+    assert state.element((np.int64(1), 1, 1)) == pytest.approx(2 ** -0.5)
+
+
 def test_product_state_dense_is_kron():
     rng = np.random.default_rng(0)
     vecs = [rng.standard_normal(2) + 1j * rng.standard_normal(2) for _ in range(4)]
@@ -352,6 +362,11 @@ def test_matmul_matches_dense_product():
     b = random_mpo(4, 3, seed=7)
     assert_allclose((a @ b).to_dense(), a.to_dense() @ b.to_dense(), atol=1e-10)
     assert_allclose((a @ tc.MPO.identity(4)).to_dense(), a.to_dense(), atol=1e-12)
+
+
+def test_an_operator_times_a_number_is_a_type_error():
+    with pytest.raises(TypeError):
+        random_mpo(2, 2, seed=0) @ 3
 
 
 def test_dimension_mismatch_raises():
@@ -750,6 +765,21 @@ def test_transform_bond_rejects_singular():
         tc.transform_bond(state, 1, np.eye(2, 3))
     with pytest.raises(IndexError, match="out of range"):
         tc.transform_bond(state, 3, np.eye(1))
+
+
+@pytest.mark.parametrize("bond, rank, error, message", [
+    (-1, 1, IndexError, "bond index out of range"),
+    (True, 2, ValueError, "a bond index must be an integer, got True"),
+    (1.0, 2, ValueError, "a bond index must be an integer, got 1.0"),
+])
+def test_transform_bond_needs_an_integer_bond_index(bond, rank, error, message):
+    # -1 transformed the rank-1 "bond" between the last and the first core,
+    # True was read as bond 1 and 1.0 ended in a TypeError from list indexing
+    state = tc.named_state_mps("ghz", 3)
+    with pytest.raises(error, match=rf"^{message}$"):
+        tc.transform_bond(state, bond, np.eye(rank))
+    moved = tc.transform_bond(state, np.int64(1), 2 * np.eye(2))
+    assert_allclose(moved.to_dense(), state.to_dense(), atol=1e-14)
 
 
 def test_factored_cnot_core_manipulation():

@@ -252,6 +252,14 @@ def _select(kept: np.ndarray, taken: np.ndarray, mask: np.ndarray) -> None:
 # exact marginals and postselection
 
 
+def _check_qubits(state: MPS) -> None:
+    """The sampler reads qubits only: ``ValueError`` naming the first site
+    whose dimension is not 2."""
+    for p, d in enumerate(state.dims, 1):
+        if d != 2:
+            raise ValueError(f"site {p} has dimension {d}; the sampler reads qubits (dimension 2) only")
+
+
 def marginal_distribution(state: MPS, measured) -> np.ndarray:
     """Exact Born marginal over the strictly increasing 1-based positions ``measured``.
 
@@ -259,6 +267,7 @@ def marginal_distribution(state: MPS, measured) -> np.ndarray:
     input is normalized internally.  Raises :class:`DenseCapExceeded` when
     ``2^m`` exceeds the dense size cap.
     """
+    _check_qubits(state)
     measured = list(measured)
     if not measured:
         raise ValueError("need at least one measured position")
@@ -422,6 +431,7 @@ def sample(state: MPS, plan: MeasurementPlan) -> SampleReport:
     needed; identical ``(state, plan)`` pairs produce identical reports.
     """
     start = time.perf_counter()
+    _check_qubits(state)
     n = state.n
     check_positions(plan.measured, n, "measured")
 

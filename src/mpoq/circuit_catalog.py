@@ -63,9 +63,8 @@ def full_adder_mpo() -> MPO:
     the carry.  Equals the ordered product of the five elementary gates
     returned by :func:`full_adder_gate_placements`.
     """
-    sx = PAULI_X
     return MPO([
-        block_core([[sx @ CONTROL_0, IDENTITY, sx @ CONTROL_1]]),
+        block_core([[PAULI_X @ CONTROL_0, IDENTITY, PAULI_X @ CONTROL_1]]),
         block_core([
             [CONTROL_0, CONTROL_1, None, None],
             [None, CONTROL_0, CONTROL_1, None],
@@ -77,7 +76,7 @@ def full_adder_mpo() -> MPO:
             [None, CONTROL_1],
             [None, CONTROL_0],
         ]),
-        block_core([[IDENTITY], [sx]]),
+        block_core([[IDENTITY], [PAULI_X]]),
     ])
 
 
@@ -119,19 +118,21 @@ def full_adder_network_mpo(count: int) -> MPO:
 
 def full_adder_network_input(count: int) -> MPS:
     """All-zero register with the two summand qubits of every adder superposed."""
-    if not is_integer(count) or count < 1:
-        raise ValueError(f"adder count must be an integer >= 1, got {count!r}")
+    summands = full_adder_network_summands(count)  # checks the count
     n = 3 * count + 1
-    layer = hadamard_layer(full_adder_network_summands(count), n)
-    return layer.apply(basis_state_mps([0] * n))
+    return hadamard_layer(summands, n).apply(basis_state_mps([0] * n))
 
 
 def full_adder_network_summands(count: int) -> tuple[int, ...]:
+    if not is_integer(count) or count < 1:
+        raise ValueError(f"adder count must be an integer >= 1, got {count!r}")
     return tuple(q for i in range(1, count + 1) for q in (3 * i - 1, 3 * i))
 
 
 def full_adder_network_outputs(count: int) -> tuple[int, ...]:
     """Positions holding the sum bits and the final carry after the network."""
+    if not is_integer(count) or count < 1:
+        raise ValueError(f"adder count must be an integer >= 1, got {count!r}")
     return tuple(3 * i - 2 for i in range(1, count + 1)) + (3 * count + 1,)
 
 
@@ -172,16 +173,15 @@ def simon_circuit_mpo() -> MPO:
     """
     a = HADAMARD @ CONTROL_0 @ HADAMARD
     b = HADAMARD @ CONTROL_1 @ HADAMARD
-    sx = PAULI_X
     return MPO([
         block_core([[a, b]]),
         block_core([[IDENTITY, None], [None, IDENTITY]]),
         block_core([[a, b, None, None], [None, None, a, b]]),
-        block_core([[IDENTITY, None], [sx, None], [None, IDENTITY], [None, sx]]),
+        block_core([[IDENTITY, None], [PAULI_X, None], [None, IDENTITY], [None, PAULI_X]]),
         block_core([[a, b], [b, a]]),
-        block_core([[IDENTITY], [sx]]),
+        block_core([[IDENTITY], [PAULI_X]]),
         block_core([[a, b]]),
-        block_core([[IDENTITY], [sx]]),
+        block_core([[IDENTITY], [PAULI_X]]),
     ])
 
 
@@ -273,14 +273,14 @@ class GateGroupSequence:
 
 @dataclass(frozen=True)
 class RunResult:
-    """Final state of a sequence run plus the per-step rank trajectory."""
+    """Final state of a sequence run plus the largest bond rank after each group."""
 
     state: MPS
-    rank_history: tuple[tuple[int, ...], ...]
+    max_ranks: tuple[int, ...]
 
     @property
     def max_rank_seen(self) -> int:
-        return max((max(r) for r in self.rank_history), default=self.state.max_rank)
+        return max(self.max_ranks, default=self.state.max_rank)
 
 
 def run_gate_sequence(
@@ -310,15 +310,15 @@ def run_gate_sequence(
     cores = list(initial.cores)
     move_center(cores, 0, len(cores) - 1)
     center = move_center(cores, len(cores) - 1, 0, policy)
-    ranks = [1] + [c.shape[2] for c in cores]
-    history = []
+    ranks = np.array([1] + [c.shape[2] for c in cores])  # an array: one C scan per maximum
+    max_ranks = []
     for group in sequence.groups:
         center, stepped = apply_window(cores, center, group, policy)
         for i in stepped:
             ranks[i + 1] = cores[i].shape[2]
-        history.append(tuple(ranks))
+        max_ranks.append(int(ranks.max()))
     move_center(cores, center, 0)
-    return RunResult(state=MPS(cores, right_orthonormal=True), rank_history=tuple(history))
+    return RunResult(state=MPS(cores, right_orthonormal=True), max_ranks=tuple(max_ranks))
 
 
 # ---------------------------------------------------------------------------
@@ -376,13 +376,13 @@ def target_register_size(modulus: int) -> int:
 
 
 def multiplicative_order(a: int, modulus: int) -> int:
-    value, order = a % modulus, 1
-    while value != 1:
-        value = value * a % modulus
-        order += 1
-        if order > modulus:
-            raise ValueError(f"{a} has no multiplicative order mod {modulus}")
-    return order
+    if not is_integer(a) or not is_integer(modulus) or modulus < 2:
+        raise ValueError(f"base and modulus must be integers with modulus >= 2, got {a!r} and {modulus!r}")
+    a, modulus = int(a), int(modulus)
+    for order in range(1, modulus + 1):
+        if pow(a, order, modulus) == 1:
+            return order
+    raise ValueError(f"{a} has no multiplicative order mod {modulus}")
 
 
 def modular_exponentiation_mpo(a: int, modulus: int = SHOR_MODULUS) -> MPO:

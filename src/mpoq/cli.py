@@ -393,7 +393,7 @@ def _check_writable(out: str | None) -> None:
 
 
 def _print_summary(circuit: catalog.Circuit, run, report: SampleReport, shor_rows) -> None:
-    ranks = ";".join(str(max(r)) for r in run.rank_history)
+    ranks = ";".join(map(str, run.max_ranks))
     print(f"circuit {circuit.sequence.label}: n={circuit.initial.n}, max rank per step [{ranks}]")
     print(
         f"measured {list(report.measured)} with s={report.sample_count}, "
@@ -445,7 +445,7 @@ def cmd_bench(args) -> int:
             )
             run, _ = _run(circuit, plan)
             times.append(time.perf_counter() - begin)
-        trajectory = ";".join(str(max(r)) for r in run.rank_history)
+        trajectory = ";".join(map(str, run.max_ranks))
         mean = statistics.fmean(times)
         std = statistics.stdev(times) if len(times) > 1 else 0.0
         lines.append(
@@ -465,10 +465,9 @@ def cmd_bench(args) -> int:
 
 def _check_qfa() -> tuple[bool, str]:
     adder = catalog.full_adder_mpo()
-    product = None
+    product = MPO.identity(4)
     for placement in catalog.full_adder_gate_placements():
-        mpo = placement.to_mpo(4)
-        product = mpo if product is None else mpo @ product
+        product = placement.to_mpo(4) @ product
     if not np.allclose(adder.to_dense(), product.to_dense(), atol=1e-12):
         return False, "closed form differs from the five-gate product"
     for value in range(8):
@@ -514,16 +513,13 @@ def _check_qft() -> tuple[bool, str]:
 
 
 def _check_shor() -> tuple[bool, str]:
-    expected_support = {
-        2: (0, 64, 128, 192), 7: (0, 64, 128, 192), 8: (0, 64, 128, 192), 13: (0, 64, 128, 192),
-        4: (0, 128), 11: (0, 128), 14: (0, 128),
-    }
-    expected_rank = {2: 4, 7: 4, 8: 4, 13: 4, 4: 2, 11: 2, 14: 2}
+    # the order r of a mod 15 is the final rank, and y = 256 k / r the support
+    order = {2: 4, 7: 4, 8: 4, 13: 4, 4: 2, 11: 2, 14: 2}
     results = {a: catalog.shor_run(a) for a in catalog.SHOR_BASES}
     for a, result in results.items():
-        if result.support != expected_support[a]:
+        if result.support != tuple(range(0, 256, 256 // order[a])):
             return False, f"a={a}: support {result.support}"
-        if max(result.final_ranks) != expected_rank[a]:
+        if max(result.final_ranks) != order[a]:
             return False, f"a={a}: final rank {max(result.final_ranks)}"
         closed = catalog.shor_closed_form_mpo(a)
         generic = catalog.modular_exponentiation_mpo(a)

@@ -512,19 +512,13 @@ def mpo_add(left: MPO, right: MPO) -> MPO:
     n = left.n
     cores = []
     for i, (a, b) in enumerate(left._paired(right)):
-        ra, d, _, sa = a.shape
-        rb, _, _, sb = b.shape
-        if n == 1:
-            cores.append(a + b)
-        elif i == 0:
-            cores.append(np.concatenate([a, b], axis=3))
-        elif i == n - 1:
-            cores.append(np.concatenate([a, b], axis=0))
-        else:
-            out = np.zeros((ra + rb, d, d, sa + sb), dtype=np.complex128)
-            out[:ra, :, :, :sa] = a
-            out[ra:, :, :, sa:] = b
-            cores.append(out)
+        (ra, d, _, sa), (rb, _, _, sb) = a.shape, b.shape
+        # the boundary bonds are shared: b starts on the first core's row 0 and the last's column 0
+        top, side = (0 if i == 0 else ra), (0 if i == n - 1 else sa)
+        out = np.zeros((top + rb, d, d, side + sb), dtype=np.complex128)
+        out[:ra, ..., :sa] = a
+        out[top:, ..., side:] = a + b if top == side == 0 else b
+        cores.append(out)
     return MPO(cores)
 
 

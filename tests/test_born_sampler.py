@@ -323,6 +323,37 @@ def test_sampling_renormalizes_a_truncated_state():
     assert report.counts == {"0000": 300}
 
 
+def _qutrit_at_site_3():
+    """Six sites, all qubits but site 3, a qutrit."""
+    cores = [np.array([1.0, 0.0])[None, :, None]] * 6
+    cores[2] = np.array([0.0, 0.6, 0.8])[None, :, None]
+    return tc.MPS(cores)
+
+
+@pytest.mark.parametrize(
+    "state, site, d",
+    [(tc.random_mps(13, 2, seed=1, d=3), 1, 3), (tc.random_mps(13, 2, seed=1, d=1), 1, 1),
+     (_qutrit_at_site_3(), 3, 3)],
+    ids=["qutrits", "d=1", "one-qutrit"],
+)
+def test_the_sampler_reads_qubits_only(state, site, d):
+    # 13 qutrits gave 174 keys from levels 0 and 1 alone, 4 measured ones a
+    # numpy reshape error, and d = 1 an IndexError; a check of the measured
+    # sites alone would miss the qutrit at site 3
+    message = rf"^site {site} has dimension {d}; the sampler reads qubits \(dimension 2\) only$"
+    plans = [
+        bs.MeasurementPlan(tuple(range(1, state.n + 1)), sample_count=200, seed=1),
+        bs.MeasurementPlan((1, 2, 4, 5), sample_count=200, seed=1),
+        bs.MeasurementPlan((1, 2, 4, 5), sample_count=0),
+        bs.MeasurementPlan((1, 2), sample_count=200, seed=1, postselect={4: 0}),
+    ]
+    for plan in plans:
+        with pytest.raises(ValueError, match=message):
+            bs.sample(state, plan)
+    with pytest.raises(ValueError, match=message):
+        bs.marginal_distribution(state, [1, 2, 4, 5])
+
+
 def test_seed_determinism_and_independence_of_sample_count():
     state = tc.random_mps(5, 3, seed=21)
     plan = bs.MeasurementPlan(measured=(1, 3, 5), sample_count=2000, seed=9)

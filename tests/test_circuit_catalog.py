@@ -1,5 +1,6 @@
 """Unit tests for the closed-form circuit builders and the executor."""
 
+import contextlib
 import gc
 import hashlib
 import itertools
@@ -114,9 +115,11 @@ def test_network_of_one_is_the_adder():
 
 
 @pytest.mark.parametrize("count", [True, 2.0], ids=["bool", "float"])
-@pytest.mark.parametrize("build", [cat.full_adder_network_mpo, cat.full_adder_network_input],
-                         ids=["operator", "input"])
+@pytest.mark.parametrize("build", [cat.full_adder_network_mpo, cat.full_adder_network_input,
+                                   cat.full_adder_network_summands, cat.full_adder_network_outputs],
+                         ids=["operator", "input", "summands", "outputs"])
 def test_the_adder_network_needs_an_integer_count(build, count):
+    # summands(2.0) ended in a TypeError and outputs(True) returned (1, 4)
     with pytest.raises(ValueError, match=r"^adder count must be an integer >= 1, got "):
         build(count)
 
@@ -382,10 +385,31 @@ def test_shared_cores_leave_the_svd_count_unchanged(monkeypatch):
 # executor
 
 
+@contextlib.contextmanager
+def recorded_profiles():
+    """Inside the block, the whole bond profile ``(1, r_1, ..., r_n)`` of the
+    executor's chain after every group, read by wrapping
+    ``circuit_catalog.apply_window``; a run keeps only each profile's maximum.
+    ``pytest.MonkeyPatch.context`` serves ``@given`` tests too, which refuse
+    the function-scoped ``monkeypatch`` fixture."""
+    profiles = []
+    apply_window = cat.apply_window
+
+    def recording(cores, center, op, policy):
+        stepped = apply_window(cores, center, op, policy)
+        profiles.append((1,) + tuple(c.shape[2] for c in cores))
+        return stepped
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cat, "apply_window", recording)
+        yield profiles
+
+
 def test_run_gate_sequence_empty_is_identity():
     state = tc.random_mps(4, 2, seed=1)
-    run = cat.run_gate_sequence(cat.GateGroupSequence((), label="empty"), state)
-    assert run.rank_history == ()
+    with recorded_profiles() as profiles:
+        run = cat.run_gate_sequence(cat.GateGroupSequence((), label="empty"), state)
+    assert run.max_ranks == tuple(map(max, profiles)) == ()
     assert_allclose(run.state.to_dense(), state.to_dense(), atol=1e-12 * state.norm())
     assert run.state.right_orthonormal and is_right_orthonormal(run.state)
 
@@ -465,13 +489,15 @@ def gate_circuits(draw):
 def test_windowed_executor_matches_full_sweeps_and_dense_oracle(circuit):
     n, ops, initial = circuit
     groups = tuple(GatePlacement(_GATES[g], t, c).to_mpo(n) for g, t, c in ops)
-    run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial)
+    with recorded_profiles() as profiles:
+        run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial)
 
     dense = initial.to_dense()
     for g, t, c in ops:
         dense = oracle.apply_gate_dense(dense, _GATES[g], target=t, controls=c)
     assert_allclose(run.state.to_dense(), dense, atol=1e-10)
-    assert run.rank_history == full_sweep_run(groups, initial)[1]
+    assert tuple(profiles) == full_sweep_run(groups, initial)[1]
+    assert run.max_ranks == tuple(map(max, profiles))
     assert run.state.right_orthonormal and is_right_orthonormal(run.state)
 
 
@@ -484,11 +510,13 @@ def test_windowed_executor_rounds_bonds_beside_a_projector():
     placements.append(GatePlacement(CONTROL_1, 3))
     groups = tuple(p.to_mpo(n) for p in placements)
     initial = tc.basis_state_mps([0] * n)
-    run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial)
+    with recorded_profiles() as profiles:
+        run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial)
     reference, history = full_sweep_run(groups, initial)
 
-    assert run.rank_history[:-1] == history[:-1]
-    assert run.rank_history[-1][2:4] == history[-1][2:4] == (1, 1)
+    assert tuple(profiles[:-1]) == history[:-1]
+    assert profiles[-1][2:4] == history[-1][2:4] == (1, 1)
+    assert run.max_ranks == tuple(map(max, profiles))
     assert_allclose(run.state.to_dense(), reference.to_dense(), atol=1e-12)
     assert run.state.right_orthonormal and is_right_orthonormal(run.state)
 
@@ -500,9 +528,11 @@ def test_windowed_executor_caps_the_bonds_of_a_named_input(name):
     n, policy = 4, tc.TruncationPolicy(max_rank=1)
     groups = (GatePlacement(HADAMARD, n).to_mpo(n),)
     initial = tc.named_state_mps(name, n)
-    run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial, policy)
+    with recorded_profiles() as profiles:
+        run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial, policy)
 
-    assert run.rank_history == full_sweep_run(groups, initial, policy)[1] == ((1,) * (n + 1),)
+    assert tuple(profiles) == full_sweep_run(groups, initial, policy)[1] == ((1,) * (n + 1),)
+    assert run.max_ranks == tuple(map(max, profiles))
     assert run.max_rank_seen == 1
 
 
@@ -517,10 +547,12 @@ def test_windowed_executor_truncates_a_generic_input_like_full_sweeps(flagged, t
     if flagged:
         initial = tc.orthonormalize_right(initial, tc.LOSSLESS)
     groups = (GatePlacement(HADAMARD, target).to_mpo(n),)
-    run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial, policy)
+    with recorded_profiles() as profiles:
+        run = cat.run_gate_sequence(cat.GateGroupSequence(groups), initial, policy)
     reference, history = full_sweep_run(groups, initial, policy)
 
-    assert run.rank_history == history == ((1, 2, 2, 2, 2, 2, 1),)
+    assert tuple(profiles) == history == ((1, 2, 2, 2, 2, 2, 1),)
+    assert run.max_ranks == tuple(map(max, profiles))
     assert_allclose(run.state.to_dense(), reference.to_dense(), atol=1e-12)
     assert run.state.right_orthonormal and is_right_orthonormal(run.state)
 
@@ -571,26 +603,19 @@ def _rank_history_cases():
 
 
 @pytest.mark.parametrize("name, arg", _rank_history_cases())
-def test_rank_history_is_the_full_profile_after_every_group(monkeypatch, name, arg):
-    # run_gate_sequence re-reads only the bonds a group can move; the profile
-    # must equal the whole chain's, read after every group
+def test_rank_history_is_the_full_profile_after_every_group(name, arg):
+    # run_gate_sequence re-reads only the bonds a group can move; the largest
+    # rank it keeps per step must be that of the whole chain, read after
+    # every group
     if name.startswith("ghz"):
         sequence, initial, policy = _ghz_circuit(arg, (9, 3, 6) if name == "ghz-projected" else ())
     else:
         circuit = cat.build_builtin(name, arg)
         sequence, initial, policy = circuit.sequence, circuit.initial, circuit.policy
-    profiles = []
-    apply_window = cat.apply_window
-
-    def recording(cores, center, op, policy):
-        stepped = apply_window(cores, center, op, policy)
-        profiles.append((1,) + tuple(c.shape[2] for c in cores))
-        return stepped
-
-    monkeypatch.setattr(cat, "apply_window", recording)
-    run = cat.run_gate_sequence(sequence, initial, policy)
+    with recorded_profiles() as profiles:
+        run = cat.run_gate_sequence(sequence, initial, policy)
     assert len(profiles) == len(sequence.groups)
-    assert run.rank_history == tuple(profiles)
+    assert run.max_ranks == tuple(map(max, profiles))
 
 
 _EXAMPLES = Path(__file__).resolve().parent.parent / "docs" / "examples"
@@ -641,17 +666,37 @@ def _executor_runs():
         yield circuit.sequence, circuit.initial, circuit.policy
 
 
+def test_a_wide_run_stores_one_rank_per_group():
+    # 300 Hadamards on a 5,000-qubit register: the peak was 14.7 MB when the
+    # run kept each group's whole profile of n + 1 ranks (12 MB of tuples),
+    # and is 2.7 MB with one int per group
+    n = 5000
+    sequence = cat.GateGroupSequence(tuple(GatePlacement(HADAMARD, 1 + 17 * k % n).to_mpo(n) for k in range(300)))
+    initial = tc.basis_state_mps([0] * n)
+    tracemalloc.start()
+    try:
+        run = cat.run_gate_sequence(sequence, initial)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 6 * 10 ** 6
+    assert run.max_ranks == (1,) * 300
+
+
 def test_executor_outputs_keep_their_bytes():
-    # sha256 over the shape and bytes of every final core and over every
-    # rank history of run_gate_sequence, recorded before the SVD cut moved
-    # into move_center and apply_window returned the range it stepped over
+    # sha256 over the shape and bytes of every final core and over the tuple
+    # of bond profiles after every group of run_gate_sequence, recorded before
+    # the SVD cut moved into move_center and apply_window returned the range
+    # it stepped over
     digest, runs = hashlib.sha256(), 0
     for sequence, initial, policy in _executor_runs():
-        run = cat.run_gate_sequence(sequence, initial, policy)
+        with recorded_profiles() as profiles:
+            run = cat.run_gate_sequence(sequence, initial, policy)
+        assert run.max_ranks == tuple(map(max, profiles))
         for core in run.state.cores:
             digest.update(repr(core.shape).encode())
             digest.update(np.ascontiguousarray(core).tobytes())
-        digest.update(repr(run.rank_history).encode())
+        digest.update(repr(tuple(profiles)).encode())
         runs += 1
     assert runs == 18 + 7 + 4 + 1 + 5 + 80
     assert digest.hexdigest() == "e5202de8f0c0c717094bab08f6648aaaeccf2902635e0a3c5ec8d8d01183a1e3"
@@ -846,6 +891,25 @@ def test_extract_period_refuses_a_base_outside_the_integer_rule(a):
 def test_a_modulus_follows_the_integer_rule(modulus):
     with pytest.raises(ValueError, match=r"^a modulus must be an integer >= 2, got "):
         cat.target_register_size(modulus)
+
+
+@pytest.mark.parametrize("a, modulus", [(2.0, 15), (True, 15), (2, 15.0), (2, np.float64(15.0)), (2, 1)],
+                         ids=["float-base", "bool-base", "float-modulus", "numpy-float-modulus", "modulus-one"])
+def test_multiplicative_order_follows_the_integer_rule(a, modulus):
+    # (2.0, 15) returned 4
+    with pytest.raises(ValueError, match=r"^base and modulus must be integers with modulus >= 2, got "):
+        cat.multiplicative_order(a, modulus)
+
+
+def test_multiplicative_order_is_the_smallest_period():
+    assert cat.multiplicative_order(np.int64(2), np.int64(15)) == 4
+    for a in range(1, 21):
+        powers = [a ** r % 21 for r in range(1, 22)]
+        if 1 in powers:
+            assert cat.multiplicative_order(a, 21) == powers.index(1) + 1
+        else:
+            with pytest.raises(ValueError, match=rf"^{a} has no multiplicative order mod 21$"):
+                cat.multiplicative_order(a, 21)
 
 
 def test_shor_readout_reverses_keys_and_sorts_rows():
